@@ -243,10 +243,8 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
       }
       continue;
     }
-    if (charge_copy) {
-      co_await Work(cost().CopyCost(batch.size()));
-      obs_.produce_copied_bytes->Increment(batch.size());
-    }
+    // Counted as copied when it commits (CommitRdmaWrite, qp 0).
+    if (charge_copy) co_await Work(cost().CopyCost(batch.size()));
     const uint32_t batch_len = static_cast<uint32_t>(batch.size());
     std::memcpy(seg->data() + pos, batch.data(), batch.size());
     buf_pool_.Release(std::move(batch));  // copied into the segment above
@@ -835,6 +833,10 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
         // Remote one-sided produce: the records were written straight into
         // the TP file by the client's RNIC — the broker copied nothing.
         kd_obs_.zero_copy_bytes->Increment(cur_len);
+      } else {
+        // Loopback write of a TCP produce (CommitBatch): the broker copied
+        // the batch into the file.
+        obs_.produce_copied_bytes->Increment(cur_len);
       }
     }
 

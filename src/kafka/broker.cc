@@ -37,7 +37,6 @@ Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
       ob.metrics.GetCounter(prefix + "produce.copied_bytes");
   obs_.fetch_bytes_returned =
       ob.metrics.GetCounter(prefix + "fetch.bytes_returned");
-  obs_.hwm_offset = ob.metrics.GetGauge(prefix + "hwm.offset");
   flight_ = &ob.flight;
   flight_shard_ = sim_.shard_id();
   tracer_ = &ob.tracer;
@@ -79,6 +78,9 @@ PartitionState* Broker::AddPartition(const TopicPartitionId& tp,
   for (int32_t r : ps->replicas) {
     if (r != config_.id) ps->follower_leo[r] = 0;
   }
+  ps->hwm_gauge = fabric_.obs().metrics.GetGauge(
+      "kd.broker." + std::to_string(config_.id) + "." + tp.ToString() +
+      ".hwm.offset");
   if (config_.control_plane) {
     ps->leader_gauge = fabric_.obs().metrics.GetGauge(
         "kd.broker." + std::to_string(config_.id) + ".leader." +
@@ -349,7 +351,6 @@ sim::Co<StatusOr<int64_t>> Broker::CommitBatch(PartitionState* ps,
   uint32_t count = DecodeFixed32(batch.data() + 20);
   if (charge_copy) {
     // The second TCP-path copy: network receive buffer -> file buffer.
-    obs_.produce_copied_bytes->Increment(batch.size());
     co_await Work(static_cast<sim::TimeNs>(
         cost().kafka.produce_copy_ns_per_byte *
         static_cast<double>(batch.size())));
@@ -368,7 +369,10 @@ sim::Co<StatusOr<int64_t>> Broker::CommitBatch(PartitionState* ps,
   if (rolled) OnRolled(*ps);
   if (!st.ok()) co_return st;
   stats_.bytes_appended += len;
+  // Both byte counters move at the same instant, so a monitor tick never
+  // sees copied bytes without the produced bytes they belong to.
   obs_.produce_bytes->Increment(len);
+  if (charge_copy) obs_.produce_copied_bytes->Increment(len);
   OnAppended(*ps, pos, len, base, count);
   ps->leo_advanced.Pulse();
   AdvanceHwm(ps);
@@ -387,7 +391,7 @@ void Broker::AdvanceHwm(PartitionState* ps) {
   if (hwm > ps->log.high_watermark()) {
     ps->log.SetHighWatermark(hwm);
     obs_.hwm_updates->Increment();
-    obs_.hwm_offset->Set(hwm);
+    ps->hwm_gauge->Set(hwm);
     flight_->Record(flight_shard_, sim_.Now(),
                     obs::FlightEventType::kHwmAdvance,
                     static_cast<uint32_t>(config_.id),

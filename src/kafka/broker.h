@@ -43,7 +43,10 @@ struct BrokerConfig {
   int32_t id = 0;
   int num_api_workers = 8;
   int num_network_threads = 3;
-  uint64_t segment_capacity = 64ull << 20;  // paper: 1 GiB, scaled for RAM
+  // Paper: 1 GiB. Segments are demand-zero, so capacity reserves address
+  // space, not RAM; 64 MiB fixes the rotation points every figure and gate
+  // depends on.
+  uint64_t segment_capacity = 64ull << 20;
 
   // --- KafkaDirect module toggles (evaluated independently in §5) ---
   bool rdma_produce = false;
@@ -227,6 +230,10 @@ struct PartitionState {
   std::map<int32_t, sim::TimeNs> follower_seen;
   /// 0/1 leadership gauge feeding cluster.single_leader_per_partition.
   obs::Gauge* leader_gauge = nullptr;
+  /// kd.broker.<id>.<tp>.hwm.offset: this partition's high watermark, only
+  /// ever Set() on advance, so value < high_water means a backwards move
+  /// (monitor: kafka.hwm_monotonic).
+  obs::Gauge* hwm_gauge = nullptr;
 
   bool InIsr(int32_t broker_id) const {
     for (int32_t r : isr) {
@@ -452,9 +459,6 @@ class Broker {
     obs::Counter* produce_bytes = nullptr;
     obs::Counter* produce_copied_bytes = nullptr;
     obs::Counter* fetch_bytes_returned = nullptr;
-    /// Leader high watermark; only ever Set() on advance, so value <
-    /// high_water means a backwards move (monitor: kafka.hwm_monotonic).
-    obs::Gauge* hwm_offset = nullptr;
   };
   ObsHandles obs_;
   /// Flight recorder (always-on black box) + this broker's shard, for

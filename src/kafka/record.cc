@@ -17,31 +17,31 @@ RecordBatchBuilder::RecordBatchBuilder(int64_t base_offset,
                                        int64_t first_timestamp,
                                        uint64_t producer_id,
                                        std::vector<uint8_t> reuse)
-    : buf_(std::move(reuse)) {
-  buf_.clear();
+    : batch_(std::move(reuse)) {
+  batch_.clear();
   InitHeader(base_offset, first_timestamp, producer_id);
 }
 
 void RecordBatchBuilder::InitHeader(int64_t base_offset,
                                     int64_t first_timestamp,
                                     uint64_t producer_id) {
-  buf_.resize(kBatchHeaderSize);
-  EncodeFixed64(&buf_[0], static_cast<uint64_t>(base_offset));
-  EncodeFixed32(&buf_[8], 0);   // batch_length, patched in Build
-  EncodeFixed32(&buf_[12], 0);  // crc, patched in Build
-  EncodeFixed16(&buf_[16], kMagicV2);
-  EncodeFixed16(&buf_[18], 0);  // attributes
-  EncodeFixed32(&buf_[20], 0);  // record_count, patched
-  EncodeFixed64(&buf_[24], static_cast<uint64_t>(first_timestamp));
-  EncodeFixed64(&buf_[32], producer_id);
+  batch_.resize(kBatchHeaderSize);
+  EncodeFixed64(&batch_[0], static_cast<uint64_t>(base_offset));
+  EncodeFixed32(&batch_[8], 0);   // batch_length, patched in Build
+  EncodeFixed32(&batch_[12], 0);  // crc, patched in Build
+  EncodeFixed16(&batch_[16], kMagicV2);
+  EncodeFixed16(&batch_[18], 0);  // attributes
+  EncodeFixed32(&batch_[20], 0);  // record_count, patched
+  EncodeFixed64(&batch_[24], static_cast<uint64_t>(first_timestamp));
+  EncodeFixed64(&batch_[32], producer_id);
 }
 
 void RecordBatchBuilder::Add(Slice key, Slice value, uint32_t timestamp_delta,
                              bool null_key) {
-  size_t n = buf_.size();
+  size_t n = batch_.size();
   size_t record_size = 4 + (null_key ? 0 : key.size()) + 4 + value.size() + 4;
-  buf_.resize(n + record_size);
-  uint8_t* p = &buf_[n];
+  batch_.resize(n + record_size);
+  uint8_t* p = &batch_[n];
   if (null_key) {
     EncodeFixed32(p, kNullField);
     p += 4;
@@ -60,11 +60,12 @@ void RecordBatchBuilder::Add(Slice key, Slice value, uint32_t timestamp_delta,
 }
 
 std::vector<uint8_t> RecordBatchBuilder::Build() {
-  EncodeFixed32(&buf_[8], static_cast<uint32_t>(buf_.size() - kBatchPrefixSize));
-  EncodeFixed32(&buf_[20], count_);
-  uint32_t crc = crc32c::Value(buf_.data() + 16, buf_.size() - 16);
-  EncodeFixed32(&buf_[12], crc);
-  return std::move(buf_);
+  EncodeFixed32(&batch_[8],
+                static_cast<uint32_t>(batch_.size() - kBatchPrefixSize));
+  EncodeFixed32(&batch_[20], count_);
+  uint32_t crc = crc32c::Value(batch_.data() + 16, batch_.size() - 16);
+  EncodeFixed32(&batch_[12], crc);
+  return std::move(batch_);
 }
 
 std::vector<uint8_t> BuildSingleRecordBatch(int64_t base_offset,

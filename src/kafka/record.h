@@ -67,7 +67,7 @@ class RecordBatchBuilder {
            bool null_key = false);
 
   uint32_t record_count() const { return count_; }
-  size_t size_estimate() const { return buf_.size(); }
+  size_t size_estimate() const { return batch_.size(); }
 
   /// Finalizes the batch: patches lengths and computes the CRC.
   std::vector<uint8_t> Build();
@@ -76,7 +76,7 @@ class RecordBatchBuilder {
   void InitHeader(int64_t base_offset, int64_t first_timestamp,
                   uint64_t producer_id);
 
-  std::vector<uint8_t> buf_;
+  std::vector<uint8_t> batch_;
   uint32_t count_ = 0;
 };
 

@@ -1,10 +1,12 @@
-// Segment: one log file of a topic partition. Preallocated at creation
-// (the paper enables Kafka file preallocation so RNICs can write into the
-// region) and backed by memory, standing in for the paper's tmpfs files.
+// Segment: one log file of a topic partition, standing in for the paper's
+// tmpfs files. Its whole capacity is reserved at creation at one stable
+// address (the paper enables Kafka file preallocation so RNICs can write
+// into the region), but as demand-zero memory: it reads as zero and a page
+// becomes resident only when something writes to it, like a sparse tmpfs
+// file sized with ftruncate. Capacity costs address space, not RAM.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/slice.h"
@@ -16,21 +18,23 @@ namespace kafka {
 class Segment {
  public:
   /// `base_offset`: Kafka offset of the first record this file will hold.
-  Segment(int64_t base_offset, uint64_t capacity)
-      : base_offset_(base_offset), next_offset_(base_offset),
-        buf_(capacity) {}
+  Segment(int64_t base_offset, uint64_t capacity);
+  ~Segment();
+  Segment(const Segment&) = delete;
+  Segment& operator=(const Segment&) = delete;
 
   int64_t base_offset() const { return base_offset_; }
   /// Offset the next appended record will receive.
   int64_t next_offset() const { return next_offset_; }
-  uint64_t capacity() const { return buf_.size(); }
+  uint64_t capacity() const { return capacity_; }
   /// Bytes of committed data (valid prefix of the file).
   uint64_t size() const { return size_; }
   uint64_t remaining() const { return capacity() - size_; }
   bool sealed() const { return sealed_; }
 
-  uint8_t* data() { return buf_.data(); }
-  const uint8_t* data() const { return buf_.data(); }
+  /// The whole file; bytes past size() read as zero until written.
+  uint8_t* data() { return buf_; }
+  const uint8_t* data() const { return buf_; }
 
   /// Appends a serialized batch covering `record_count` offsets. Fails when
   /// full or sealed.
@@ -60,7 +64,8 @@ class Segment {
   int64_t next_offset_;
   uint64_t size_ = 0;
   bool sealed_ = false;
-  std::vector<uint8_t> buf_;
+  uint64_t capacity_;
+  uint8_t* buf_;  // anonymous mapping of capacity_ bytes
   std::vector<IndexEntry> index_;
 };
 

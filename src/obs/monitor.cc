@@ -116,8 +116,9 @@ void InstallStandardWatchers(Monitor& monitor) {
   monitor.AddWatcher(
       "kafka.hwm_monotonic",
       [](const MetricsRegistry& m, std::string* detail) {
-        // The hwm.offset gauges are only ever Set() on advance; a value
-        // below its own high-water mark means the HWM moved backwards.
+        // One kd.broker.<id>.<tp>.hwm.offset gauge per partition replica,
+        // only ever Set() on advance; a value below its own high-water
+        // mark means that partition's HWM moved backwards.
         bool ok = true;
         std::ostringstream os;
         m.ForEachGauge([&](const std::string& name, const Gauge& g) {

@@ -84,8 +84,9 @@ class Monitor {
 ///   kafka.byte_conservation   sum(broker produce.bytes) ==
 ///                             kd.direct zero-copy bytes + copied bytes
 ///   direct.credit_window      0 <= repl.credits_outstanding <= credit_cap
-///   kafka.hwm_monotonic       every kd.broker.*.hwm.offset gauge sits at
-///                             its own high-water mark
+///   kafka.hwm_monotonic       every per-partition
+///                             kd.broker.<id>.<tp>.hwm.offset gauge sits
+///                             at its own high-water mark
 ///   rdma.srq_bounded          kd.rdma.srq.depth (and its high water)
 ///                             <= kd.rdma.srq.capacity
 /// Each passes vacuously while its instruments are unregistered.

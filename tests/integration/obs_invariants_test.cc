@@ -1,6 +1,9 @@
 // Cross-layer metric invariants (ISSUE 3 satellite): the observability
 // counters must agree with what the datapaths actually did — bytes in ==
 // bytes out, TCP pays copies, RDMA produce does not.
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "harness/harness.h"
@@ -294,6 +297,79 @@ TEST(ObsInvariantsTest, AllProtocolUpgradesComposeCleanly) {
   EXPECT_LT(CounterValue(cluster, "kd.rdma.wrs_signaled"),
             CounterValue(cluster, "kd.rdma.wrs_posted"));
   EXPECT_EQ(CounterValue(cluster, "kd.rdma.rnr_events"), 0u);
+}
+
+// --- Standard watchers ticking live against a real deployment ---
+
+obs::Monitor& ArmMonitor(TestCluster& cluster, sim::TimeNs period_ns) {
+  obs::Observability& ob = cluster.fabric().obs();
+  obs::InstallStandardWatchers(ob.monitor);
+  ob.monitor.StartTicking(cluster.sim(), ob.metrics, period_ns);
+  return ob.monitor;
+}
+
+std::string Violations(const obs::Monitor& mon) {
+  std::string out;
+  for (const auto& v : mon.violations()) {
+    out += v.watcher + ": " + v.detail + "\n";
+  }
+  return out;
+}
+
+TEST(ObsInvariantsTest, HwmMonotonicWithOneBrokerLeadingTwoPartitions) {
+  DeploymentConfig deploy;  // one broker leads every partition
+  TestCluster cluster(deploy);
+  obs::Monitor& mon = ArmMonitor(cluster, 1000);
+  ProduceOptions options;
+  options.partitions = 2;
+  options.producers = 3;  // partition 0 gets two producers, partition 1 one
+  options.records_per_producer = 30;
+  options.record_size = 256;
+  options.max_inflight = 2;
+  auto result = RunProduceWorkload(cluster, SystemKind::kKafka, options);
+  ASSERT_EQ(result.records, 90u);
+  ASSERT_EQ(result.errors, 0u);
+  EXPECT_GT(mon.checks_run(), 100u);
+  EXPECT_EQ(mon.CheckNow(cluster.fabric().obs().metrics, cluster.sim().Now()),
+            0);
+  EXPECT_TRUE(mon.violations().empty()) << Violations(mon);
+
+  // Each partition carries its own HWM gauge, at different heights.
+  std::map<std::string, int64_t> hwms;
+  cluster.fabric().obs().metrics.ForEachGauge(
+      [&](const std::string& name, const obs::Gauge& g) {
+        if (name.find(".hwm.offset") != std::string::npos) {
+          hwms[name] = g.value();
+        }
+      });
+  ASSERT_EQ(hwms.size(), 2u);
+  EXPECT_EQ(hwms.begin()->second, 60) << hwms.begin()->first;
+  EXPECT_EQ(hwms.rbegin()->second, 30) << hwms.rbegin()->first;
+  EXPECT_EQ(hwms.begin()->first.rfind("kd.broker.0.", 0), 0u);
+  EXPECT_EQ(CounterValue(cluster, "kd.broker.0.hwm.updates"), 90u);
+}
+
+TEST(ObsInvariantsTest, ByteConservationHoldsInsideTheCopyDelay) {
+  DeploymentConfig deploy;
+  TestCluster cluster(deploy);
+  const sim::TimeNs period = 500;
+  ProduceOptions options;
+  options.records_per_producer = 40;
+  options.record_size = 4096;
+  // Every TCP batch spends several tick periods in the broker's copy into
+  // the file, so ticks land between copy start and append.
+  ASSERT_GT(cluster.cost().kafka.produce_copy_ns_per_byte *
+                static_cast<double>(options.record_size),
+            4.0 * period);
+  obs::Monitor& mon = ArmMonitor(cluster, period);
+  auto result = RunProduceWorkload(cluster, SystemKind::kKafka, options);
+  ASSERT_EQ(result.records, 40u);
+  ASSERT_EQ(result.errors, 0u);
+  EXPECT_TRUE(mon.violations().empty()) << Violations(mon);
+  uint64_t produced = CounterValue(cluster, "kd.broker.0.produce.bytes");
+  EXPECT_GT(produced, 40u * 4096u);
+  EXPECT_EQ(CounterValue(cluster, "kd.broker.0.produce.copied_bytes"),
+            produced);
 }
 
 TEST(ObsInvariantsTest, MetricsJsonSnapshotIsWritable) {

@@ -25,6 +25,11 @@
 #      The obs diff is ADVISORY: deviations print a warning but do not fail
 #      tier-1, since the per-subsystem instrument counts are exactly what a
 #      legitimate datapath change moves.
+#   3d. Host-cost gate: every bench binary above runs under
+#      tools/measure_e2e.py, which records its wall time and peak RSS in
+#      BENCH_e2e.json; tools/bench_compare.py then fails on peak-RSS growth
+#      above 25% against the committed BENCH_e2e.baseline.json. Wall time
+#      is recorded, not gated (it measures the host).
 #   4. ASan/UBSan pass over the allocation-sensitive suites
 #      (tools/check_asan.sh).
 #   5. Optimized UBSan pass over the same plus the obs suite
@@ -50,27 +55,33 @@ if [[ "$FAST" == 0 ]]; then
   python3 "$ROOT/tools/compare_simcore.py" \
     "$ROOT/BENCH_simcore.baseline.json" "$ROOT/BENCH_simcore.json" \
     --max-regress 0.10
-  "$BUILD_DIR/bench/abl_datapath_protocols" \
+  E2E="$ROOT/BENCH_e2e.json"
+  rm -f "$E2E"
+  measure() { python3 "$ROOT/tools/measure_e2e.py" "$E2E" "$1" -- \
+                "$BUILD_DIR/bench/$1" "${@:2}"; }
+  measure abl_datapath_protocols \
     --json="$ROOT/BENCH_datapath_protocols.json" >/dev/null
   python3 "$ROOT/tools/compare_datapath.py" \
     "$ROOT/BENCH_datapath_protocols.baseline.json" \
     "$ROOT/BENCH_datapath_protocols.json" --tolerance 0.10
-  "$BUILD_DIR/bench/tbl_client_scaling" \
+  measure tbl_client_scaling \
     --json="$ROOT/BENCH_client_scaling.json" >/dev/null
   python3 "$ROOT/tools/compare_client_scaling.py" \
     "$ROOT/BENCH_client_scaling.baseline.json" \
     "$ROOT/BENCH_client_scaling.json" --tolerance 0.10
-  "$BUILD_DIR/bench/tbl_failover" \
+  measure tbl_failover \
     --json="$ROOT/BENCH_failover.json" >/dev/null
   python3 "$ROOT/tools/compare_failover.py" \
     "$ROOT/BENCH_failover.baseline.json" \
     "$ROOT/BENCH_failover.json" --tolerance 0.10
-  "$BUILD_DIR/bench/tbl_slo_tenants" --strict --monitor_period=100000 \
+  measure tbl_slo_tenants --strict --monitor_period=100000 \
     --metrics_json="$ROOT/BENCH_slo.json" >/dev/null
   python3 "$ROOT/tools/obs_report.py" "$ROOT/BENCH_slo.baseline.json" \
     "$ROOT/BENCH_slo.json" --tolerance 0.10 \
     || echo "obs_report: ADVISORY deviation vs BENCH_slo.baseline.json" \
             "(refresh the baseline if the change is intended)"
+  python3 "$ROOT/tools/bench_compare.py" "$ROOT/BENCH_e2e.baseline.json" \
+    "$E2E" --spec peak_rss_mb=0.25
   "$ROOT/tools/check_asan.sh"
   "$ROOT/tools/check_ubsan.sh"
   "$ROOT/tools/check_tsan.sh"
