@@ -258,12 +258,8 @@ void Run(const std::string& json_path) {
   all.insert(all.end(), composed.begin(), composed.end());
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < all.size(); i++) {
       out << "    {\"name\": \"" << all[i].name << "\"";
       for (const auto& [key, value] : all[i].metrics) {

@@ -4,9 +4,8 @@
 # BENCH_simcore.baseline.json (captured before the allocation-free hot-path
 # work) to check for regressions.
 #
-# The report's "context" block records the run provenance: git commit,
-# host core count, and the sharded-engine configuration swept by the
-# BM_Sharded* variants (tools/compare_simcore.py reads these).
+# The report's "context" block records the run provenance: git commit and
+# host core count.
 #
 # Usage: bench/run_simcore.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -24,27 +23,12 @@ fi
 GIT_COMMIT="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 HOST_CORES="$(nproc 2>/dev/null || echo unknown)"
 
-if [[ "$HOST_CORES" == "1" ]]; then
-  cat >&2 <<'EOF'
-********************************************************************************
-* WARNING: this host has ONE core (nproc=1).                                   *
-* The BM_Sharded*/threads:N>1 variants will serialize, so the captured        *
-* numbers carry NO thread-scaling signal. Do NOT commit this report as        *
-* BENCH_simcore.baseline.json from this machine; comparisons against it will *
-* gate on host shape, not on the code (compare_simcore.py softens the        *
-* threads:N>1 checks to warnings when it sees context.host_cores=1).          *
-********************************************************************************
-EOF
-fi
-
 "$BIN" \
   --benchmark_out="$ROOT/BENCH_simcore.json" \
   --benchmark_out_format=json \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_context=git_commit="$GIT_COMMIT" \
-  --benchmark_context=host_cores="$HOST_CORES" \
-  --benchmark_context=sim_shards=8 \
-  --benchmark_context=sim_thread_counts=1/2/4/8
+  --benchmark_context=host_cores="$HOST_CORES"
 
 echo "wrote $ROOT/BENCH_simcore.json"

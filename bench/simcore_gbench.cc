@@ -34,10 +34,9 @@ BENCHMARK(BM_SimulatorDispatch);
 // --------------------------------------------------------------------------
 // Sharded engine (DESIGN.md §11): per-shard actor populations that mostly
 // self-reschedule at nanosecond distances (wheel-local traffic) and
-// periodically hop to the next shard through the lookahead mailboxes —
+// periodically hop to the next shard through the lookahead inboxes —
 // the shape of a multi-broker deployment with fabric traffic between
-// broker domains. Thread-count variants measure parallel scaling of the
-// identical schedule; the merged variant prices the determinism mode.
+// broker domains.
 // --------------------------------------------------------------------------
 
 struct BenchShardState {
@@ -64,13 +63,9 @@ void ShardedStep(BenchShardState* st, uint32_t shards, uint32_t s,
   }
 }
 
-uint64_t RunShardedEngine(uint32_t shards, uint32_t threads,
-                          bool deterministic) {
-  sim::ShardedSimulator engine(sim::ShardedConfig{.num_shards = shards,
-                                                  .num_threads = threads,
-                                                  .lookahead_ns = 250,
-                                                  .deterministic =
-                                                      deterministic});
+uint64_t RunShardedEngine(uint32_t shards) {
+  sim::ShardedSimulator engine(
+      sim::ShardedConfig{.num_shards = shards, .lookahead_ns = 250});
   std::vector<BenchShardState> st(shards);
   for (uint32_t s = 0; s < shards; s++) {
     st[s].sim = &engine.shard(s);
@@ -92,31 +87,11 @@ uint64_t RunShardedEngine(uint32_t shards, uint32_t threads,
   return engine.events_processed();
 }
 
-void BM_ShardedParallel(benchmark::State& state) {
-  const uint32_t shards = static_cast<uint32_t>(state.range(0));
-  const uint32_t threads = static_cast<uint32_t>(state.range(1));
-  uint64_t events = 0;
-  for (auto _ : state) {
-    events += RunShardedEngine(shards, threads, /*deterministic=*/false);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ShardedParallel)
-    ->ArgNames({"shards", "threads"})
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-// Determinism mode on the same workload: the single-threaded merged
-// schedule the parallel variants are verified against.
 void BM_ShardedMerged(benchmark::State& state) {
   const uint32_t shards = static_cast<uint32_t>(state.range(0));
   uint64_t events = 0;
   for (auto _ : state) {
-    events += RunShardedEngine(shards, 1, /*deterministic=*/true);
+    events += RunShardedEngine(shards);
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }

@@ -4,9 +4,7 @@
 // grows linearly in the number of connected clients; with the SRQ it is a
 // single arena sized for aggregate inbound rate — constant across the
 // sweep (asserted at 4096 clients). Shared-mode producers are used so any
-// number of clients can target one partition. The deployment runs on the
-// sharded engine (deterministic mode; see --sim_shards/--sim_threads and
-// the JSON context block).
+// number of clients can target one partition.
 //
 // Million-client sweep (DESIGN.md §14): the second table multiplexes
 // logical client streams over a handful of transport QPs (qp_mux +
@@ -320,12 +318,8 @@ void Run(const std::string& json_path) {
       mux_points.back().meta_peak_bytes / 1024.0);
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < points.size(); i++) {
       const Point& p = points[i];
       out << "    {\"name\": \"client_scaling/" << p.clients << "/srq_"

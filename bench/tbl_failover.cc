@@ -273,12 +273,8 @@ void Run(const std::string& json_path) {
       static_cast<unsigned long long>(leader_moves));
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (int e = 0; e < kEndpoints; e++) {
       const EndpointStats& st = stats[e];
       const obs::TenantSlo* slo = cluster.fabric().obs().slo.Find(

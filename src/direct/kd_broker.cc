@@ -1288,9 +1288,10 @@ sim::Co<void> KafkaDirectBroker::CreditFlushLoop(RdmaFileState* fs) {
   const sim::TimeNs interval = config_.credit_flush_interval_ns > 0
                                    ? config_.credit_flush_interval_ns
                                    : 200 * 1000;
-  while (!fs->aborted) {
+  // Exits on Shutdown() too: a dead broker has no follower left to pace.
+  while (!fs->aborted && !shut_down_) {
     co_await sim::Delay(sim_, interval);
-    if (fs->aborted) co_return;
+    if (fs->aborted || shut_down_) co_return;
     if (fs->pacer.pending_grants > 0 ||
         fs->ps->log.log_end_offset() != fs->pacer.last_leo_sent) {
       FlushPacedCredits(fs);

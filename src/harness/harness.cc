@@ -11,7 +11,6 @@ namespace harness {
 
 namespace {
 ObsOptions g_obs_options;
-SimEngineOptions g_engine_options;
 }  // namespace
 
 void InitObsFromArgs(int argc, char** argv) {
@@ -20,8 +19,6 @@ void InitObsFromArgs(int argc, char** argv) {
   const std::string kSlo = "--slo_json=";
   const std::string kFlight = "--flight_dump=";
   const std::string kMonitor = "--monitor_period=";
-  const std::string kThreads = "--sim_threads=";
-  const std::string kShards = "--sim_shards=";
   for (int i = 1; i < argc; i++) {
     std::string arg = argv[i];
     if (arg.rfind(kMetrics, 0) == 0) {
@@ -37,18 +34,11 @@ void InitObsFromArgs(int argc, char** argv) {
           std::max<long long>(0, std::atoll(arg.c_str() + kMonitor.size()));
     } else if (arg == "--strict") {
       g_obs_options.strict = true;
-    } else if (arg.rfind(kThreads, 0) == 0) {
-      g_engine_options.threads =
-          std::max(1, std::atoi(arg.c_str() + kThreads.size()));
-    } else if (arg.rfind(kShards, 0) == 0) {
-      g_engine_options.shards =
-          std::max(1, std::atoi(arg.c_str() + kShards.size()));
     }
   }
 }
 
 const ObsOptions& obs_options() { return g_obs_options; }
-const SimEngineOptions& sim_engine_options() { return g_engine_options; }
 
 const char* SystemName(SystemKind kind) {
   switch (kind) {
@@ -63,12 +53,7 @@ const char* SystemName(SystemKind kind) {
 TestCluster::TestCluster(DeploymentConfig config)
     : config_(config),
       engine_(sim::ShardedConfig{
-          .num_shards = static_cast<uint32_t>(
-              config.sim_shards > 0 ? config.sim_shards
-                                    : sim_engine_options().shards),
-          .num_threads = 1,
-          .lookahead_ns = CostModel{}.ShardLookaheadNs(),
-          .deterministic = true}) {
+          .num_shards = 1, .lookahead_ns = CostModel{}.ShardLookaheadNs()}) {
   fabric_ = std::make_unique<net::Fabric>(sim(), cost_);
   // Enable tracing before any broker/client defines tracks or records
   // spans, so a --trace_json run captures the full deployment lifecycle.
@@ -122,6 +107,13 @@ TestCluster::TestCluster(DeploymentConfig config)
 
 TestCluster::~TestCluster() {
   obs::Observability& ob = fabric_->obs();
+  // Snapshot the metrics at the end of the workload, before the shutdown
+  // walk below adds its teardown events and verbs to the counters.
+  if (!g_obs_options.metrics_json.empty()) {
+    obs::ExportShardStats(ob.metrics, engine_);
+    KD_CHECK(ob.metrics.WriteJsonFile(g_obs_options.metrics_json))
+        << "cannot write " << g_obs_options.metrics_json;
+  }
   // Coroutine-aware teardown (DESIGN.md §14): stop the periodic monitor
   // tick, walk every broker's Shutdown() (QP disconnects, listener/channel
   // closes, CQ shutdowns), then drain the engine so every woken coroutine
@@ -132,15 +124,10 @@ TestCluster::~TestCluster() {
   engine_.RunUntil(engine_.Now() + Seconds(2));
   // Final invariant sweep at teardown — catches end-state violations even
   // when no tick landed after the last datapath event. Runs before the
-  // file exports so a strict abort still leaves the flight dump behind
-  // (via the violation hook).
+  // remaining file exports so a strict abort still leaves the flight dump
+  // behind (via the violation hook).
   if (ob.monitor.num_watchers() > 0) {
     ob.monitor.CheckNow(ob.metrics, engine_.Now());
-  }
-  if (!g_obs_options.metrics_json.empty()) {
-    obs::ExportShardStats(ob.metrics, engine_);
-    KD_CHECK(ob.metrics.WriteJsonFile(g_obs_options.metrics_json))
-        << "cannot write " << g_obs_options.metrics_json;
   }
   if (!g_obs_options.trace_json.empty()) {
     KD_CHECK(ob.tracer.WriteChromeTraceFile(g_obs_options.trace_json))

@@ -40,12 +40,6 @@ struct DeploymentConfig {
   /// Record spans even without --trace_json (used by tests; the tracer
   /// must be enabled before brokers/QPs are created so tracks exist).
   bool enable_tracing = false;
-  /// Shard count for the embedded simulation engine; 0 = take the
-  /// --sim_shards command-line flag (default 1). The harness always runs
-  /// its engine in deterministic (merged) mode so workload predicates
-  /// evaluate at well-defined points; parallel execution is exercised by
-  /// the engine benches and tests (bench/simcore_gbench.cc).
-  int sim_shards = 0;
 };
 
 /// Observability outputs requested on the command line. When `trace_json`
@@ -66,19 +60,11 @@ struct ObsOptions {
   bool strict = false;
 };
 
-/// Simulation-engine knobs from the command line (DESIGN.md §11).
-struct SimEngineOptions {
-  int threads = 1;  // --sim_threads=<n>: worker threads for parallel mode
-  int shards = 1;   // --sim_shards=<n>: event-queue domains
-};
-
 /// Parses --metrics_json= / --trace_json= / --slo_json= / --flight_dump= /
-/// --monitor_period= / --strict / --sim_threads= / --sim_shards= into the
-/// process-wide options. Unrecognized arguments are ignored (benches keep
-/// their own flags).
+/// --monitor_period= / --strict into the process-wide options.
+/// Unrecognized arguments are ignored (benches keep their own flags).
 void InitObsFromArgs(int argc, char** argv);
 const ObsOptions& obs_options();
-const SimEngineOptions& sim_engine_options();
 
 /// A fully wired simulated deployment: fabric + TCP stack + brokers (all
 /// KafkaDirectBroker so every datapath is available) + an OSU listener per
@@ -114,7 +100,7 @@ class TestCluster {
   /// The default event-queue domain (shard 0) — the simulator every
   /// deployment entity schedules on, exactly as before the engine existed.
   sim::Simulator& sim() { return engine_.shard(0); }
-  /// The sharded engine driving the deployment (deterministic mode).
+  /// The one-shard engine driving the deployment.
   sim::ShardedSimulator& engine() { return engine_; }
   CostModel& cost() { return cost_; }  // mutate BEFORE constructing clients
   net::Fabric& fabric() { return *fabric_; }

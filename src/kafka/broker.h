@@ -103,12 +103,6 @@ struct BrokerConfig {
   // the broker aborts and revokes access (§4.2.2).
   sim::TimeNs shared_produce_hole_timeout = 5 * 1000 * 1000;  // 5 ms
 
-  /// Simulator shard domain for this broker's event processing when the
-  /// cluster runs under a ShardedSimulator (DESIGN.md §11). -1 = auto:
-  /// broker id modulo the engine's shard count. Ignored (everything on
-  /// shard 0) under a standalone Simulator.
-  int32_t shard_affinity = -1;
-
   // --- Million-client connection architecture (DESIGN.md §14). All
   // default off so the paper figures stay bit-identical. ---
 

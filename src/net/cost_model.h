@@ -201,10 +201,10 @@ struct CostModel {
     return static_cast<sim::TimeNs>(kafka.copy_ns_per_byte * n);
   }
 
-  /// Conservative lookahead window for the sharded simulator
-  /// (sim/sharded.h): nothing crosses between nodes — and therefore
-  /// between shard domains — in less than one propagation delay, so
-  /// shards may run this far ahead of each other without synchronizing.
+  /// Epoch window for the sharded simulator (sim/sharded.h): nothing
+  /// crosses between nodes — and therefore between shard domains — in
+  /// less than one propagation delay, so cross-shard events can wait in
+  /// the inboxes until the epoch ends.
   sim::TimeNs ShardLookaheadNs() const { return link.propagation_ns; }
 };
 

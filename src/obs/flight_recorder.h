@@ -6,8 +6,8 @@
 //   - One fixed-size power-of-two ring per simulator shard, sized once at
 //     Configure() time; recording never allocates, never branches on ring
 //     fullness (old events are overwritten), and costs a handful of stores.
-//     The layout mirrors sim/spsc_ring.h: a flat slot array indexed by a
-//     monotonically increasing head masked to the capacity.
+//     The layout is a flat slot array indexed by a monotonically
+//     increasing head masked to the capacity.
 //   - Events are 24-byte PODs: virtual timestamp, an event type, the shard,
 //     and three payload words whose meaning is per-type (qp_num/opcode/bytes
 //     for verbs, qp/grant/LEO for credits, ...).

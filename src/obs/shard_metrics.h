@@ -1,7 +1,7 @@
 // Exports the sharded simulator's engine and per-shard counters into a
-// MetricsRegistry (DESIGN.md §11): epoch barriers crossed, work steals,
-// cross-shard mailbox traffic and depth. Gauges, not counters, so a
-// re-export after another run overwrites instead of double-counting.
+// MetricsRegistry (DESIGN.md §11): epochs run, cross-shard inbox traffic
+// and depth. Gauges, not counters, so a re-export after another run
+// overwrites instead of double-counting.
 #pragma once
 
 #include <string>
@@ -16,8 +16,6 @@ inline void ExportShardStats(MetricsRegistry& metrics,
                              const sim::ShardedSimulator& engine) {
   metrics.GetGauge("sim.engine.num_shards")
       ->Set(static_cast<int64_t>(engine.num_shards()));
-  metrics.GetGauge("sim.engine.num_threads")
-      ->Set(static_cast<int64_t>(engine.num_threads()));
   metrics.GetGauge("sim.engine.lookahead_ns")
       ->Set(static_cast<int64_t>(engine.lookahead()));
   metrics.GetGauge("sim.engine.epochs")
@@ -30,13 +28,10 @@ inline void ExportShardStats(MetricsRegistry& metrics,
     metrics.GetGauge(p + "events")->Set(static_cast<int64_t>(st.events));
     metrics.GetGauge(p + "epochs_active")
         ->Set(static_cast<int64_t>(st.epochs_active));
-    metrics.GetGauge(p + "steals")->Set(static_cast<int64_t>(st.steals));
     metrics.GetGauge(p + "cross_sent")
         ->Set(static_cast<int64_t>(st.cross_sent));
     metrics.GetGauge(p + "cross_received")
         ->Set(static_cast<int64_t>(st.cross_received));
-    metrics.GetGauge(p + "mailbox_spills")
-        ->Set(static_cast<int64_t>(st.mailbox_spills));
     metrics.GetGauge(p + "mailbox_max_depth")
         ->Set(static_cast<int64_t>(st.mailbox_max_depth));
     metrics.GetGauge(p + "lookahead_clamps")

@@ -45,8 +45,8 @@ class ShardedSimulator;
 class Simulator {
  public:
   /// `register_log_clock` is false for shards owned by a ShardedSimulator
-  /// (a single global log-clock slot cannot follow N concurrent shards;
-  /// the engine registers shard 0 only).
+  /// (a single global log-clock slot cannot follow N shards; the engine
+  /// registers shard 0 only).
   explicit Simulator(bool register_log_clock = true)
       : log_clock_registered_(register_log_clock) {
     std::memset(bucket_head_, 0xFF, sizeof(bucket_head_));  // all kNil
@@ -97,7 +97,7 @@ class Simulator {
 
   /// Makes Run()/RunUntil() return after the current event completes.
   /// Inside a ShardedSimulator, stopping one shard stops the whole engine
-  /// at the next epoch boundary.
+  /// before its next event.
   void Stop() { stopped_ = true; }
 
   /// True after Stop() until the next Run*/engine pass clears it.
@@ -138,7 +138,7 @@ class Simulator {
 
   /// Schedules `fn` on shard `dst_shard` of the owning engine, `delay` ns
   /// after this shard's Now(). Remote deliveries travel through the
-  /// engine's mailboxes and the delay is raised to the engine lookahead;
+  /// engine's inboxes and the delay is raised to the engine lookahead;
   /// dst_shard == shard_id() degenerates to a plain Schedule(). Requires
   /// an owning engine.
   void ScheduleCross(uint32_t dst_shard, TimeNs delay, InlineFunction fn);

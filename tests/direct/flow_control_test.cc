@@ -110,6 +110,26 @@ TEST_F(FlowControlTest, PacedCreditsSustainSlowFollowerWithoutRnr) {
   EXPECT_EQ(RnrEvents(), 0u);
 }
 
+TEST_F(FlowControlTest, PacedCreditFlushTimerStopsAtShutdown) {
+  kafka::BrokerConfig cfg = ReplicationConfig();
+  cfg.receiver_paced_credits = true;
+  BootWithConfig(cfg, 2, 1, 2);
+  TopicPartitionId tp{"t", 0};
+  ProduceUnreplicated(tp, 50);
+  sim_.RunFor(Millis(5));
+  ASSERT_EQ(FollowerLeo(tp), 50);
+  // The idle credit-flush timer keeps the queue alive while serving.
+  const uint64_t before = sim_.events_processed();
+  sim_.RunFor(Millis(1));
+  EXPECT_GT(sim_.events_processed(), before);
+
+  // After shutdown the timer fires at most once more (one 200 us flush
+  // interval) and exits instead of ticking through the teardown drain.
+  cluster_->Shutdown();
+  sim_.RunFor(Millis(1));
+  EXPECT_TRUE(sim_.Idle());
+}
+
 }  // namespace
 }  // namespace kd
 }  // namespace kafkadirect

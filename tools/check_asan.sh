@@ -11,6 +11,10 @@
 # along: broker kills mid-traffic, controller re-election, group-rebalance
 # storms — teardown-heavy scenarios where a parked coroutine frame
 # (purgatory waiter, ack reader) would leak if shutdown missed a wakeup.
+# The integration suite rides along: it runs every datapath protocol
+# upgrade (receiver-paced credits, ring consume, selective signaling)
+# through full deployment teardown, so a background loop that outlives
+# Shutdown() leaks its frame here.
 #
 # Usage: tools/check_asan.sh
 set -euo pipefail
@@ -19,7 +23,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-asan"
 
 cmake --preset asan -S "$ROOT" >/dev/null
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test sharded_test obs_test churn_test failover_test
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test \
+  sharded_test obs_test churn_test failover_test integration_test
 
 # No LSAN_OPTIONS / suppression file: deployment teardown is now
 # coroutine-aware (Cluster::Shutdown walks brokers -> QPs/sockets ->
@@ -34,5 +39,7 @@ export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 "$BUILD_DIR/tests/obs_test"
 "$BUILD_DIR/tests/churn_test"
 "$BUILD_DIR/tests/failover_test"
+"$BUILD_DIR/tests/integration_test"
 
-echo "asan/ubsan: all common + sim + sharded + obs + churn + failover tests passed"
+echo "asan/ubsan: all common + sim + sharded + obs + churn + failover +" \
+     "integration tests passed"
