@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/byte_order.h"
+#include "common/demand_zero_buffer.h"
 #include "common/histogram.h"
 #include "common/units.h"
 #include "direct/control.h"
@@ -136,7 +137,7 @@ class MicroRig {
   net::Fabric fabric_;
   net::NodeId server_node_;
   rdma::Rnic server_nic_;
-  std::vector<uint8_t> buffer_;
+  DemandZeroBuffer buffer_;  // the registered target file
   rdma::MemoryRegionPtr mr_;
   std::vector<uint8_t> atomic_word_;
   rdma::MemoryRegionPtr atomic_mr_;

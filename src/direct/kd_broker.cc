@@ -899,10 +899,10 @@ sim::Co<void> KafkaDirectBroker::AckWhenCommitted(PartitionState* ps,
                                                   int64_t base,
                                                   int64_t required,
                                                   uint32_t stream) {
+  const sim::TimeNs deadline = sim_.Now() + kafka::kProducePurgatoryTimeout;
   while (ps->log.high_watermark() < required) {
-    bool fired =
-        co_await ps->hwm_advanced.WaitFor(30ll * 1000 * 1000 * 1000);
-    if (!fired && ps->log.high_watermark() < required) {
+    const sim::TimeNs remaining = deadline - sim_.Now();
+    if (remaining <= 0) {
       CtrlMsg msg;
       msg.kind = CtrlKind::kProduceAck;
       msg.order = order;
@@ -911,6 +911,7 @@ sim::Co<void> KafkaDirectBroker::AckWhenCommitted(PartitionState* ps,
       SendCtrl(qp_num, msg);
       co_return;
     }
+    (void)co_await ps->hwm_advanced.WaitFor(remaining);
   }
   CtrlMsg msg;
   msg.kind = CtrlKind::kProduceAck;

@@ -406,13 +406,15 @@ sim::Co<void> Broker::RespondWhenCommitted(net::MessageStreamPtr conn,
                                            PartitionState* ps,
                                            int64_t required_offset,
                                            int64_t base_offset) {
+  const sim::TimeNs deadline = sim_.Now() + kProducePurgatoryTimeout;
   while (ps->log.high_watermark() < required_offset) {
-    bool fired = co_await ps->hwm_advanced.WaitFor(30ll * 1000 * 1000 * 1000);
-    if (shut_down_) co_return;  // dead broker: the conn is closed anyway
-    if (!fired && ps->log.high_watermark() < required_offset) {
+    const sim::TimeNs remaining = deadline - sim_.Now();
+    if (remaining <= 0) {
       SendResponse(conn, Encode(ProduceResponse{ErrorCode::kTimedOut, -1}));
       co_return;
     }
+    (void)co_await ps->hwm_advanced.WaitFor(remaining);
+    if (shut_down_) co_return;  // dead broker: the conn is closed anyway
   }
   // Purgatory completion: wake + hand back to the response path.
   co_await Work(cost().cpu.wakeup_ns + cost().cpu.handoff_ns);

@@ -24,6 +24,7 @@
 
 #include "common/histogram.h"
 #include "common/status.h"
+#include "common/units.h"
 #include "kafka/log.h"
 #include "kafka/protocol.h"
 #include "net/message_stream.h"
@@ -38,6 +39,12 @@
 
 namespace kafkadirect {
 namespace kafka {
+
+/// Purgatory deadline of an acks=-1 produce, fixed when the request
+/// arrives (Kafka's DelayedProduce): a request the HWM has not covered
+/// this long after arrival is answered with kTimedOut, however the HWM
+/// moved in between.
+constexpr sim::TimeNs kProducePurgatoryTimeout = Seconds(30);
 
 struct BrokerConfig {
   int32_t id = 0;

@@ -1,33 +1,20 @@
 #include "kafka/segment.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstring>
-
-#include "common/logging.h"
 
 namespace kafkadirect {
 namespace kafka {
 
 Segment::Segment(int64_t base_offset, uint64_t capacity)
-    : base_offset_(base_offset), next_offset_(base_offset),
-      capacity_(capacity),
-      buf_(static_cast<uint8_t*>(mmap(nullptr, capacity,
-                                      PROT_READ | PROT_WRITE,
-                                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))) {
-  KD_CHECK(buf_ != MAP_FAILED) << "mmap of a " << capacity_
-                               << "-byte segment failed";
-}
-
-Segment::~Segment() { munmap(buf_, capacity_); }
+    : base_offset_(base_offset), next_offset_(base_offset), buf_(capacity) {}
 
 Status Segment::Append(Slice batch, uint32_t record_count) {
   if (sealed_) return Status::FailedPrecondition("append to sealed segment");
   if (batch.size() > remaining()) {
     return Status::ResourceExhausted("segment full");
   }
-  std::memcpy(buf_ + size_, batch.data(), batch.size());
+  std::memcpy(buf_.data() + size_, batch.data(), batch.size());
   return CommitInPlace(size_, batch.size(), record_count);
 }
 

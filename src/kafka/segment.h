@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/demand_zero_buffer.h"
 #include "common/slice.h"
 #include "common/status.h"
 
@@ -19,22 +20,21 @@ class Segment {
  public:
   /// `base_offset`: Kafka offset of the first record this file will hold.
   Segment(int64_t base_offset, uint64_t capacity);
-  ~Segment();
   Segment(const Segment&) = delete;
   Segment& operator=(const Segment&) = delete;
 
   int64_t base_offset() const { return base_offset_; }
   /// Offset the next appended record will receive.
   int64_t next_offset() const { return next_offset_; }
-  uint64_t capacity() const { return capacity_; }
+  uint64_t capacity() const { return buf_.size(); }
   /// Bytes of committed data (valid prefix of the file).
   uint64_t size() const { return size_; }
   uint64_t remaining() const { return capacity() - size_; }
   bool sealed() const { return sealed_; }
 
   /// The whole file; bytes past size() read as zero until written.
-  uint8_t* data() { return buf_; }
-  const uint8_t* data() const { return buf_; }
+  uint8_t* data() { return buf_.data(); }
+  const uint8_t* data() const { return buf_.data(); }
 
   /// Appends a serialized batch covering `record_count` offsets. Fails when
   /// full or sealed.
@@ -64,8 +64,7 @@ class Segment {
   int64_t next_offset_;
   uint64_t size_ = 0;
   bool sealed_ = false;
-  uint64_t capacity_;
-  uint8_t* buf_;  // anonymous mapping of capacity_ bytes
+  DemandZeroBuffer buf_;
   std::vector<IndexEntry> index_;
 };
 

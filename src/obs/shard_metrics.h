@@ -1,7 +1,7 @@
 // Exports the sharded simulator's engine and per-shard counters into a
-// MetricsRegistry (DESIGN.md §11): epochs run, cross-shard inbox traffic
-// and depth. Gauges, not counters, so a re-export after another run
-// overwrites instead of double-counting.
+// MetricsRegistry (DESIGN.md §11): epochs run, pending events, cross-shard
+// inbox traffic and depth. Gauges, not counters, so a re-export after
+// another run overwrites instead of double-counting.
 #pragma once
 
 #include <string>
@@ -22,6 +22,11 @@ inline void ExportShardStats(MetricsRegistry& metrics,
       ->Set(static_cast<int64_t>(engine.epochs()));
   metrics.GetGauge("sim.engine.events")
       ->Set(static_cast<int64_t>(engine.events_processed()));
+  // Setting the engine's high-water mark first makes it the gauge's own
+  // high_water; the value left behind is the current pending count.
+  Gauge* pending = metrics.GetGauge("sim.engine.pending_events");
+  pending->Set(static_cast<int64_t>(engine.pending_events_high_water()));
+  pending->Set(static_cast<int64_t>(engine.pending_events()));
   for (uint32_t s = 0; s < engine.num_shards(); s++) {
     const sim::ShardStats st = engine.shard_stats(s);
     const std::string p = "sim.shard" + std::to_string(s) + ".";

@@ -11,6 +11,14 @@ namespace {
 constexpr uint32_t kFragHeader = 8;  // {u32 frame_total, u32 frag_len}
 }
 
+uint32_t OsuChannel::RecvBufSize() const {
+  return config_.buffer_size + kFragHeader;
+}
+
+uint8_t* OsuChannel::RecvBuf(uint64_t i) {
+  return recv_bufs_.data() + i * RecvBufSize();
+}
+
 OsuChannel::OsuChannel(sim::Simulator& sim, net::Fabric& fabric,
                        std::shared_ptr<rdma::QueuePair> qp,
                        std::shared_ptr<rdma::CompletionQueue> send_cq,
@@ -18,14 +26,13 @@ OsuChannel::OsuChannel(sim::Simulator& sim, net::Fabric& fabric,
                        net::NodeId peer, OsuConfig config)
     : sim_(sim), fabric_(fabric), qp_(std::move(qp)),
       send_cq_(std::move(send_cq)), recv_cq_(std::move(recv_cq)),
-      peer_(peer), config_(config), rx_(sim) {}
+      peer_(peer), config_(config),
+      recv_bufs_(static_cast<size_t>(config.recv_depth) * RecvBufSize()),
+      rx_(sim) {}
 
 void OsuChannel::Start() {
   for (int i = 0; i < config_.recv_depth; i++) {
-    recv_bufs_.emplace_back(config_.buffer_size + kFragHeader);
-    KD_CHECK_OK(qp_->PostRecv(
-        i, recv_bufs_.back().data(),
-        static_cast<uint32_t>(recv_bufs_.back().size())));
+    KD_CHECK_OK(qp_->PostRecv(i, RecvBuf(i), RecvBufSize()));
   }
   sim::Spawn(sim_, RecvPump(alive_, recv_cq_));
 }
@@ -88,18 +95,17 @@ sim::Co<void> OsuChannel::RecvPump(std::shared_ptr<bool> alive,
       continue;
     }
     if (wc->opcode != rdma::Opcode::kRecv) continue;
-    const std::vector<uint8_t>& buf = recv_bufs_[wc->wr_id];
-    uint32_t total = DecodeFixed32(buf.data());
-    uint32_t frag = DecodeFixed32(buf.data() + 4);
+    const uint8_t* buf = RecvBuf(wc->wr_id);
+    uint32_t total = DecodeFixed32(buf);
+    uint32_t frag = DecodeFixed32(buf + 4);
     // Copy out of the network receive buffer (the second OSU copy).
     co_await sim::Delay(
         sim_, static_cast<sim::TimeNs>(
                   fabric_.cost().kafka.copy_ns_per_byte * frag));
     if (reassembly_.empty()) expected_total_ = total;
-    reassembly_.insert(reassembly_.end(), buf.data() + kFragHeader,
-                       buf.data() + kFragHeader + frag);
-    (void)qp_->PostRecv(wc->wr_id, recv_bufs_[wc->wr_id].data(),
-                        static_cast<uint32_t>(recv_bufs_[wc->wr_id].size()));
+    reassembly_.insert(reassembly_.end(), buf + kFragHeader,
+                       buf + kFragHeader + frag);
+    (void)qp_->PostRecv(wc->wr_id, RecvBuf(wc->wr_id), RecvBufSize());
     if (reassembly_.size() >= expected_total_) {
       rx_.Push(std::move(reassembly_));
       reassembly_.clear();

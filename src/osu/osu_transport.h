@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/demand_zero_buffer.h"
 #include "direct/kd_broker.h"
 #include "net/message_stream.h"
 #include "rdma/queue_pair.h"
@@ -62,6 +63,10 @@ class OsuChannel : public net::MessageStream,
   sim::Co<void> RecvPump(std::shared_ptr<bool> alive,
                          std::shared_ptr<rdma::CompletionQueue> cq);
 
+  /// Receive buffer `i` (a bounce buffer plus its fragment header).
+  uint8_t* RecvBuf(uint64_t i);
+  uint32_t RecvBufSize() const;
+
   sim::Simulator& sim_;
   net::Fabric& fabric_;
   std::shared_ptr<rdma::QueuePair> qp_;
@@ -69,7 +74,9 @@ class OsuChannel : public net::MessageStream,
   std::shared_ptr<rdma::CompletionQueue> recv_cq_;
   net::NodeId peer_;
   OsuConfig config_;
-  std::vector<std::vector<uint8_t>> recv_bufs_;
+  // recv_depth receive buffers back to back in one demand-zero mapping:
+  // only the bytes a frame lands on become resident.
+  DemandZeroBuffer recv_bufs_;
   std::deque<std::vector<uint8_t>> send_bufs_;  // retained until completion
   sim::Channel<std::vector<uint8_t>> rx_;
   std::vector<uint8_t> reassembly_;

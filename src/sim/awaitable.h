@@ -36,7 +36,8 @@ class Delay {
 inline Delay Yield(Simulator& sim) { return Delay(sim, 0); }
 
 /// A broadcast signal. Waiters block until Set() is called; WaitFor adds a
-/// timeout. Set wakes all current waiters. Reset() re-arms the event.
+/// timeout. Set wakes all current waiters and cancels their timeouts, so a
+/// woken wait leaves no timer behind. Reset() re-arms the event.
 class Event {
  public:
   explicit Event(Simulator& sim) : sim_(sim) {}
@@ -66,6 +67,7 @@ class Event {
     std::coroutine_handle<> h;
     bool done = false;   // resume already scheduled
     bool result = false; // true = signaled, false = timed out
+    Simulator::TimerHandle timeout;  // WaitFor's timer, if any
   };
 
   class Waiter {
@@ -85,8 +87,7 @@ class Event {
       if (timeout_ >= 0) {
         auto node = node_;
         Simulator& sim = ev_->sim_;
-        sim.Schedule(timeout_, [node, &sim]() {
-          if (node->done) return;
+        node_->timeout = sim.ScheduleTimer(timeout_, [node, &sim]() {
           node->done = true;
           node->result = false;
           sim.Schedule(0, [node]() { node->h.resume(); });
@@ -110,6 +111,7 @@ class Event {
       if (node->done) continue;
       node->done = true;
       node->result = true;
+      sim_.Cancel(node->timeout);
       sim_.Schedule(0, [node]() { node->h.resume(); });
     }
   }

@@ -48,6 +48,19 @@ uint64_t ShardedSimulator::events_processed() const {
   return total;
 }
 
+size_t ShardedSimulator::pending_events() const {
+  size_t total = 0;
+  for (const auto& sh : shards_) total += sh->pending_events();
+  for (const auto& inbox : inboxes_) total += inbox.size();
+  return total;
+}
+
+size_t ShardedSimulator::pending_events_high_water() const {
+  size_t total = 0;
+  for (const auto& sh : shards_) total += sh->pending_events_high_water();
+  return total;
+}
+
 ShardStats ShardedSimulator::shard_stats(uint32_t i) const {
   KD_DCHECK(i < num_shards_);
   ShardStats s = stats_[i];

@@ -91,6 +91,13 @@ class ShardedSimulator {
   /// Sum of events executed across all shards.
   uint64_t events_processed() const;
 
+  /// Events pending on the shards and in the inboxes.
+  size_t pending_events() const;
+
+  /// Sum of the shards' pending-event high-water marks: exact for one
+  /// shard, an upper bound for more.
+  size_t pending_events_high_water() const;
+
   /// Epochs started over the engine's lifetime.
   uint64_t epochs() const { return epochs_; }
 

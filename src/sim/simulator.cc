@@ -6,7 +6,7 @@
 namespace kafkadirect {
 namespace sim {
 
-void Simulator::ScheduleAt(TimeNs time, InlineFunction fn) {
+uint32_t Simulator::Insert(TimeNs time, InlineFunction fn) {
   if (time < now_) time = now_;
   const uint32_t slot = AcquireSlot(std::move(fn));
   const uint64_t index = static_cast<uint64_t>(time - wheel_base_);
@@ -17,6 +17,67 @@ void Simulator::ScheduleAt(TimeNs time, InlineFunction fn) {
     SiftUp(overflow_.size() - 1);
   }
   next_seq_++;
+  if (++pending_ > pending_high_water_) pending_high_water_ = pending_;
+  return slot;
+}
+
+bool Simulator::Cancel(const TimerHandle& h) {
+  if (h.slot >= slots_.size() || slots_[h.slot].generation != h.generation) {
+    return false;
+  }
+  // Destroyed after the bookkeeping: a captured object's destructor may
+  // schedule, which can regrow slots_.
+  InlineFunction fn = std::move(slots_[h.slot].fn);
+  slots_[h.slot].generation++;
+  pending_--;
+  // Every pending event at or past the window end is in the heap: the
+  // window only moves at Refill, which decants all of it.
+  const uint64_t index = static_cast<uint64_t>(h.time - wheel_base_);
+  if (index < kWheelSize) {
+    const size_t i = static_cast<size_t>(index);
+    uint32_t prev = kNil;
+    uint32_t cur = bucket_head_[i];
+    while (cur != h.slot) {
+      KD_DCHECK(cur != kNil) << "pending timer missing from its bucket";
+      prev = cur;
+      cur = slots_[cur].next;
+    }
+    const uint32_t next = slots_[cur].next;
+    if (prev == kNil) {
+      bucket_head_[i] = next;
+      if (next == kNil) bitmap_[i >> 6] &= ~(1ull << (i & 63));
+    } else {
+      slots_[prev].next = next;
+    }
+    if (bucket_tail_[i] == cur) bucket_tail_[i] = prev;
+    wheel_count_--;
+    slots_[h.slot].next = kNil;
+    free_slots_.push_back(h.slot);
+  } else {
+    slots_[h.slot].next = kDead;
+    overflow_dead_++;
+    DropDeadTop();
+    if (overflow_dead_ * 2 > overflow_.size()) Compact();
+  }
+  return true;
+}
+
+void Simulator::Compact() {
+  size_t kept = 0;
+  for (const Entry& e : overflow_) {
+    if (IsTombstone(e)) {
+      ReleaseTombstone(e.slot);
+    } else {
+      overflow_[kept++] = e;
+    }
+  }
+  overflow_.resize(kept);
+  // Floyd heapify: (time, seq) is a strict total order, so the rebuilt
+  // heap pops exactly the sequence the old one would have.
+  if (kept < 2) return;
+  for (size_t i = (kept - 2) / kHeapArity + 1; i-- > 0;) {
+    SiftDown(i, overflow_[i]);
+  }
 }
 
 void Simulator::Refill() {
@@ -27,6 +88,7 @@ void Simulator::Refill() {
   while (!overflow_.empty() && overflow_.front().time < end) {
     const Entry e = PopOverflowTop();
     AppendToBucket(static_cast<size_t>(e.time - wheel_base_), e.slot);
+    DropDeadTop();
   }
 }
 

@@ -21,6 +21,17 @@
 // window), and (time, seq) is a strict total order. The pop sequence is
 // therefore exactly what the original std::priority_queue implementation
 // produced.
+//
+// Timers are cancellable (ScheduleTimer/Cancel). A handle names its arena
+// slot plus the slot's generation, which advances whenever the event runs
+// or is cancelled, so a stale handle is a no-op. Cancelling a wheel event
+// unlinks it from its bucket; cancelling an overflow event leaves a
+// tombstone in the heap (the callable is destroyed at once). Tombstones
+// are dropped when they reach the heap top, and the heap is rebuilt when
+// they make up over half of it. Cancellation never renumbers a seq, so the
+// surviving events keep their exact (time, seq) order, and a cancelled
+// event is invisible: it never runs, never advances Now() and never counts
+// towards Idle(), pending_events() or events_processed().
 #pragma once
 
 #include <algorithm>
@@ -77,7 +88,30 @@ class Simulator {
   }
 
   /// Runs `fn` at absolute virtual time `time` (clamped to now).
-  void ScheduleAt(TimeNs time, InlineFunction fn);
+  void ScheduleAt(TimeNs time, InlineFunction fn) {
+    (void)Insert(time, std::move(fn));
+  }
+
+  /// Names one scheduled timer for Cancel(). A default handle names none.
+  struct TimerHandle {
+    TimeNs time = 0;           // firing time (selects wheel or heap)
+    uint32_t slot = UINT32_MAX;
+    uint32_t generation = 0;
+  };
+
+  /// Schedule() that can be taken back: runs `fn` after `delay` ns unless
+  /// Cancel() gets the returned handle first.
+  TimerHandle ScheduleTimer(TimeNs delay, InlineFunction fn) {
+    const TimeNs time = now_ + (delay < 0 ? 0 : delay);
+    const uint32_t slot = Insert(time, std::move(fn));
+    return TimerHandle{time, slot, slots_[slot].generation};
+  }
+
+  /// Removes the timer `h` names and destroys its callable. Returns false,
+  /// doing nothing, when the timer already ran or was cancelled. A handle
+  /// goes stale after 2^32 reuses of its slot, so cancel only a timer
+  /// whose lifetime you own, as Event does.
+  bool Cancel(const TimerHandle& h);
 
   /// Processes events until the queue is empty or Stop() is called.
   void Run();
@@ -104,10 +138,16 @@ class Simulator {
   bool stopped() const { return stopped_; }
 
   /// True if no events are pending.
-  bool Idle() const { return wheel_count_ == 0 && overflow_.empty(); }
+  bool Idle() const { return pending_ == 0; }
 
   /// Total events processed (for tests and sanity limits).
   uint64_t events_processed() const { return events_processed_; }
+
+  /// Events scheduled and neither run nor cancelled yet.
+  size_t pending_events() const { return pending_; }
+
+  /// Highest pending_events() ever reached.
+  size_t pending_events_high_water() const { return pending_high_water_; }
 
   // --- Sharded-engine interface (sim/sharded.h, DESIGN.md §11) ----------
   // These exist so a ShardedSimulator can drive many Simulator instances
@@ -151,14 +191,19 @@ class Simulator {
   static constexpr size_t kWheelSize = 1024;
   static constexpr size_t kBitmapWords = kWheelSize / 64;
   static constexpr uint32_t kNil = UINT32_MAX;
+  // Slot::next of a cancelled overflow event whose heap entry is still in
+  // the heap (a tombstone). The slot is released when the entry leaves.
+  static constexpr uint32_t kDead = UINT32_MAX - 1;
   // Enough for the steady-state event population of the largest fig*
   // experiments, so the arena and overflow heap never regrow mid-run.
   static constexpr size_t kInitialEventCapacity = 1024;
 
-  /// Arena cell: the parked callable plus the intrusive bucket-list link.
+  /// Arena cell: the parked callable, the intrusive bucket-list link and
+  /// the generation TimerHandles are checked against.
   struct Slot {
     InlineFunction fn;
     uint32_t next = kNil;
+    uint32_t generation = 0;
   };
 
   /// Overflow heap key: trivially copyable, so sifts are plain word moves.
@@ -180,7 +225,7 @@ class Simulator {
   uint32_t AcquireSlot(InlineFunction fn) {
     if (free_slots_.empty()) {
       const uint32_t slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back(Slot{std::move(fn), kNil});
+      slots_.push_back(Slot{std::move(fn), kNil, 0});
       return slot;
     }
     const uint32_t slot = free_slots_.back();
@@ -195,9 +240,14 @@ class Simulator {
   /// arena may regrow while the event runs, so it cannot run in place).
   InlineFunction TakeFn(uint32_t slot) {
     InlineFunction fn = std::move(slots_[slot].fn);
+    slots_[slot].generation++;
     free_slots_.push_back(slot);
+    pending_--;
     return fn;
   }
+
+  /// Parks `fn` at `time` (clamped to now) and returns its slot.
+  uint32_t Insert(TimeNs time, InlineFunction fn);
 
   void AppendToBucket(size_t index, uint32_t slot) {
     if (bucket_head_[index] == kNil) {
@@ -229,38 +279,62 @@ class Simulator {
     overflow_[i] = v;
   }
 
+  /// Places `v` at heap index `i` and sifts it down to its level.
+  void SiftDown(size_t i, const Entry v) {
+    const size_t n = overflow_.size();
+    for (;;) {
+      const size_t first = kHeapArity * i + 1;
+      if (first >= n) break;
+      const size_t last = std::min(first + kHeapArity, n);
+      size_t m = first;
+      for (size_t c = first + 1; c < last; c++) {
+        if (Earlier(overflow_[c], overflow_[m])) m = c;
+      }
+      if (!Earlier(overflow_[m], v)) break;
+      overflow_[i] = overflow_[m];
+      i = m;
+    }
+    overflow_[i] = v;
+  }
+
   /// Removes and returns the overflow minimum, then re-sifts the displaced
   /// back element down from the root.
   Entry PopOverflowTop() {
     const Entry top = overflow_.front();
     const Entry v = overflow_.back();
     overflow_.pop_back();
-    const size_t n = overflow_.size();
-    if (n != 0) {
-      size_t i = 0;
-      for (;;) {
-        const size_t first = kHeapArity * i + 1;
-        if (first >= n) break;
-        const size_t last = std::min(first + kHeapArity, n);
-        size_t m = first;
-        for (size_t c = first + 1; c < last; c++) {
-          if (Earlier(overflow_[c], overflow_[m])) m = c;
-        }
-        if (!Earlier(overflow_[m], v)) break;
-        overflow_[i] = overflow_[m];
-        i = m;
-      }
-      overflow_[i] = v;
-    }
+    if (!overflow_.empty()) SiftDown(0, v);
     return top;
   }
+
+  bool IsTombstone(const Entry& e) const {
+    return slots_[e.slot].next == kDead;
+  }
+
+  /// Returns a tombstone's slot to the free list once its entry is gone.
+  void ReleaseTombstone(uint32_t slot) {
+    slots_[slot].next = kNil;
+    free_slots_.push_back(slot);
+    overflow_dead_--;
+  }
+
+  /// Pops tombstones off the heap top, so the top is always live.
+  void DropDeadTop() {
+    while (!overflow_.empty() && IsTombstone(overflow_.front())) {
+      ReleaseTombstone(PopOverflowTop().slot);
+    }
+  }
+
+  /// Rebuilds the heap without its tombstones.
+  void Compact();
 
   /// Re-anchors the window at the overflow minimum and decants every
   /// overflow event inside it, in (time, seq) order. Requires an empty
   /// wheel and a non-empty overflow heap.
   void Refill();
 
-  /// Earliest pending timestamp. Requires !Idle().
+  /// Earliest pending timestamp. Requires !Idle(). A tombstone never
+  /// stays on the heap top, so a non-empty heap's top is live.
   TimeNs PeekTime() const {
     if (wheel_count_ != 0) {
       return wheel_base_ + static_cast<TimeNs>(FindBucket(cursor_));
@@ -285,6 +359,8 @@ class Simulator {
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
+  size_t pending_ = 0;  // live events: the wheel plus live heap entries
+  size_t pending_high_water_ = 0;
   bool stopped_ = false;
   bool log_clock_registered_ = true;
 
@@ -304,6 +380,7 @@ class Simulator {
   uint32_t bucket_tail_[kWheelSize];
 
   std::vector<Entry> overflow_;          // 4-ary min-heap, (time, seq)
+  size_t overflow_dead_ = 0;             // tombstones in overflow_
   std::vector<Slot> slots_;              // parked callables
   std::vector<uint32_t> free_slots_;     // LIFO: reuse the warmest slot
 };

@@ -94,6 +94,37 @@ TEST(HarnessTest, EmptyFetchFloodLeavesBrokerCpuIdle) {
   EXPECT_EQ(cluster.Broker(0)->stats().fetch_requests, 0u);
 }
 
+// Pending events once `records` acks=-1 produces at rf=2 have been acked.
+size_t PendingAfterReplicatedProduce(SystemKind kind, int records) {
+  DeploymentConfig deploy;
+  deploy.num_brokers = 2;
+  deploy.broker.rdma_produce = kind != SystemKind::kKafka;
+  deploy.broker.rdma_replicate = kind != SystemKind::kKafka;
+  TestCluster cluster(deploy);
+  ProduceOptions options;
+  options.records_per_producer = records;
+  options.record_size = 256;
+  options.max_inflight = 4;
+  options.replication_factor = 2;
+  auto result = RunProduceWorkload(cluster, kind, options);
+  EXPECT_EQ(result.records, static_cast<uint64_t>(records));
+  EXPECT_EQ(result.errors, 0u);
+  return cluster.sim().pending_events();
+}
+
+// Every acked produce waited in a purgatory on a timed HWM wait. The
+// wakeup cancels the wait's 30 s timeout, so what stays queued tracks the
+// requests in flight, not the number of requests ever made.
+TEST(HarnessTest, PurgatoryWaitsLeaveNoTimersBehind) {
+  for (SystemKind kind : {SystemKind::kKafka, SystemKind::kKdExclusive}) {
+    SCOPED_TRACE(SystemName(kind));
+    const size_t few = PendingAfterReplicatedProduce(kind, 50);
+    const size_t many = PendingAfterReplicatedProduce(kind, 400);
+    EXPECT_LE(many, few + 8);
+    EXPECT_LT(many, 50u);
+  }
+}
+
 TEST(HarnessTest, SystemNamesAreStable) {
   EXPECT_STREQ(SystemName(SystemKind::kKafka), "Kafka");
   EXPECT_STREQ(SystemName(SystemKind::kOsuKafka), "OSU-Kafka");

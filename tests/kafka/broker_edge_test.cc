@@ -178,6 +178,78 @@ TEST_F(BrokerEdgeTest, FollowerHwmCatchesUpToLeader) {
   EXPECT_EQ(follower->log.high_watermark(), 10);
 }
 
+TEST_F(BrokerEdgeTest, PurgatoryDeadlineIsFixedAtArrival) {
+  Boot(1, 1);
+  const TopicPartitionId tp{"t", 0};
+  Broker* leader = cluster_->LeaderOf(tp);
+  // One more replica gates the HWM. The test plays it: a follower that
+  // catches up by one batch every 20 s of virtual time.
+  const int32_t follower = 7;
+  leader->GetPartition(tp)->follower_leo[follower] = 0;
+  TcpProducer first(sim_, *tcpnet_, client_node_, ProducerConfig{.acks = -1});
+  TcpProducer second(sim_, *tcpnet_, client_node_,
+                     ProducerConfig{.acks = -1});
+  struct Outcome {
+    bool done = false;
+    bool ok = false;
+    std::string error;
+    sim::TimeNs at = 0;
+  };
+  Outcome a;
+  Outcome b;
+  auto produce = [](BrokerEdgeTest* t, Broker* leader, TcpProducer* p,
+                    sim::TimeNs start, Outcome* out) -> sim::Co<void> {
+    KD_CHECK((co_await p->Connect(leader->node())).ok());
+    co_await sim::Delay(t->sim_, start - t->sim_.Now());
+    const TopicPartitionId tp{"t", 0};
+    auto r = co_await p->Produce(tp, Slice("k", 1), Slice("v", 1));
+    out->ok = r.ok();
+    if (!r.ok()) out->error = r.status().ToString();
+    out->at = t->sim_.Now();
+    out->done = true;
+  };
+  bool follower_done = false;
+  auto slow_follower = [](BrokerEdgeTest* t, Broker* leader, int32_t id,
+                          bool* done) -> sim::Co<void> {
+    auto conn = (co_await t->tcpnet_->Connect(t->client_node_, leader->node(),
+                                              kKafkaPort))
+                    .value();
+    for (int64_t leo = 1; leo <= 2; leo++) {
+      co_await sim::Delay(t->sim_, Seconds(20) * leo - t->sim_.Now());
+      FetchRequest fetch;
+      fetch.tp = {"t", 0};
+      fetch.offset = leo;
+      fetch.is_replica = true;
+      fetch.replica_id = id;
+      KD_CHECK((co_await conn->Send(Encode(fetch), false)).ok());
+      KD_CHECK((co_await conn->Recv()).ok());
+    }
+    *done = true;
+  };
+  // Offsets 0 and 1, both produced long before the first catch-up.
+  sim::Spawn(sim_, produce(this, leader, &first, Millis(1), &a));
+  sim::Spawn(sim_, produce(this, leader, &second, Millis(2), &b));
+  sim::Spawn(sim_, slow_follower(this, leader, follower, &follower_done));
+  sim_.RunUntilDone([&]() { return a.done && b.done && follower_done; },
+                    Seconds(120));
+  ASSERT_TRUE(a.done && b.done && follower_done);
+  // Offset 0 commits at the first catch-up.
+  EXPECT_TRUE(a.ok) << a.error;
+  EXPECT_GE(a.at, Seconds(20));
+  EXPECT_LT(a.at, Seconds(21));
+  // Offset 1 saw the HWM move at 20 s, but its deadline stayed 30 s after
+  // arrival: it times out before the 40 s catch-up would commit it.
+  EXPECT_FALSE(b.ok);
+  EXPECT_NE(b.error.find(ErrorCodeName(ErrorCode::kTimedOut)),
+            std::string::npos)
+      << b.error;
+  EXPECT_GE(b.at, Millis(2) + kProducePurgatoryTimeout);
+  EXPECT_LT(b.at, Seconds(31));
+  // Drain the parked connection readers so the test leaks no frame.
+  cluster_->Shutdown();
+  sim_.RunFor(Seconds(2));
+}
+
 TEST_F(BrokerEdgeTest, WorkerUtilizationTracksLoad) {
   Boot(1, 1);
   bool done = false;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/units.h"
 #include "sim/task.h"
 
 namespace kafkadirect {
@@ -75,6 +76,40 @@ TEST(EventTest, SetAfterTimeoutDoesNotDoubleResume) {
   sim.Run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(when, 100);
+}
+
+TEST(EventTest, WokenWaitCancelsItsTimeout) {
+  Simulator sim;
+  Event ev(sim);
+  bool fired = false;
+  TimeNs when = 0;
+  Spawn(sim, TimedWait(ev, Seconds(30), &fired, &when, sim));
+  sim.Schedule(100, [&]() { ev.Set(); });
+  sim.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(when, 100);
+  // The 30 s timeout went with the wakeup: nothing is left to run.
+  EXPECT_EQ(sim.Now(), 100);
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(EventTest, PulseCancelsEveryWokenTimeout) {
+  Simulator sim;
+  Event ev(sim);
+  bool fired[3] = {};
+  TimeNs when[3] = {};
+  for (int i = 0; i < 3; i++) {
+    Spawn(sim, TimedWait(ev, 1000000 * (i + 1), &fired[i], &when[i], sim));
+  }
+  sim.Schedule(50, [&]() { ev.Pulse(); });
+  sim.Run();
+  for (int i = 0; i < 3; i++) {
+    EXPECT_TRUE(fired[i]);
+    EXPECT_EQ(when[i], 50);
+  }
+  EXPECT_EQ(sim.Now(), 50);
+  EXPECT_TRUE(sim.Idle());
 }
 
 Co<void> PulseLoop(Event& ev, int* wakes, int n) {

@@ -4,7 +4,10 @@
 # paths — InlineFunction storage/relocation, the vector-based event heap,
 # BufferPool recycling, the SIMD CRC32C kernels, and the flight-recorder
 # ring / monitor callbacks — which is exactly the code where a lifetime or
-# aliasing bug would hide. The §14 churn suite rides along: QP
+# aliasing bug would hide. The sim suite carries the seeded timer-cancel
+# property test (tests/sim/timer_cancel_property_test.cc): wheel unlinks,
+# heap tombstones, compaction and stale handles, each of which moves or
+# destroys a parked callable. The §14 churn suite rides along: QP
 # connect/disconnect cycles, LRU eviction with transparent reconnect, and
 # eviction racing in-flight acks are the paths most likely to leak a
 # coroutine frame or touch a freed transport. The §15 failover suite rides

@@ -8,18 +8,25 @@
 # tbl_client_scaling has no file: its host-time columns differ from run to
 # run, and tools/compare_client_scaling.py gates its JSON report instead.
 #
-# Usage: tools/check_figures.sh [build_dir]   (default: build)
+# Each binary runs under tools/measure_e2e.py, which records its wall time
+# and peak RSS as row "figures/<binary>" of the host-cost report (gated
+# against BENCH_e2e.baseline.json by tools/bench_compare.py).
+#
+# Usage: tools/check_figures.sh [build_dir] [e2e_report]
+#   defaults: build, BENCH_e2e.json (both under the repository root)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
+E2E="${2:-$ROOT/BENCH_e2e.json}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
 failed=()
 for expected in "$ROOT"/bench/expected/*.txt; do
   name="$(basename "$expected" .txt)"
-  "$BUILD_DIR/bench/$name" > "$OUT"
+  python3 "$ROOT/tools/measure_e2e.py" "$E2E" "figures/$name" -- \
+    "$BUILD_DIR/bench/$name" > "$OUT"
   if cmp -s "$expected" "$OUT"; then
     echo "figures: $name ok"
   else

@@ -24,14 +24,15 @@
 #      --metrics_json dump (snapshotted at the end of the workload, before
 #      teardown) against the committed BENCH_slo.baseline.json and fails on
 #      a >10% deviation or key-set drift.
-#   3d. Host-cost gate: every bench binary above runs under
-#      tools/measure_e2e.py, which records its wall time and peak RSS in
-#      BENCH_e2e.json; tools/bench_compare.py then fails on peak-RSS growth
-#      above 25% against the committed BENCH_e2e.baseline.json. Wall time
-#      is recorded, not gated (it measures the host).
-#   3e. Paper-figure gate: every fig*/tbl_*/abl_* binary with a committed
+#   3d. Paper-figure gate: every fig*/tbl_*/abl_* binary with a committed
 #      bench/expected/<binary>.txt must reproduce it byte for byte
 #      (tools/check_figures.sh).
+#   3e. Host-cost gate: every bench binary above, and every figure binary
+#      of 3d, runs under tools/measure_e2e.py, which records its wall time
+#      and peak RSS in BENCH_e2e.json; tools/bench_compare.py then fails on
+#      peak-RSS growth above 25% against the committed
+#      BENCH_e2e.baseline.json. Wall time is recorded, not gated (it
+#      measures the host).
 #   4. ASan/UBSan pass over the allocation-sensitive suites
 #      (tools/check_asan.sh).
 #   5. Optimized UBSan pass over the same plus the obs suite
@@ -79,9 +80,9 @@ if [[ "$FAST" == 0 ]]; then
     --metrics_json="$ROOT/BENCH_slo.json" >/dev/null
   python3 "$ROOT/tools/obs_report.py" "$ROOT/BENCH_slo.baseline.json" \
     "$ROOT/BENCH_slo.json" --tolerance 0.10
+  "$ROOT/tools/check_figures.sh" "$BUILD_DIR" "$E2E"
   python3 "$ROOT/tools/bench_compare.py" "$ROOT/BENCH_e2e.baseline.json" \
     "$E2E" --spec peak_rss_mb=0.25
-  "$ROOT/tools/check_figures.sh" "$BUILD_DIR"
   "$ROOT/tools/check_asan.sh"
   "$ROOT/tools/check_ubsan.sh"
 fi
