@@ -17,7 +17,7 @@ using kd::PlanNotification;
 NotifyPlan PlanFor(uint32_t send_meta_size) {
   return PlanNotification(send_meta_size == 0 ? NotifyMode::kWriteImm
                                               : NotifyMode::kWriteSend,
-                          /*write_len=*/0, /*crossover_bytes=*/0);
+                          /*write_len=*/0);
 }
 
 // One produce = the data write (+ the separate metadata Send when

@@ -36,13 +36,18 @@ struct NotifyPlan {
                                // carries the notification (and the signal)
 };
 
-inline NotifyPlan PlanNotification(NotifyMode mode, uint64_t write_len,
-                                   uint32_t crossover_bytes) {
+/// kAdaptive's switch point: writes of at least this many bytes notify
+/// with Write+Send.
+constexpr uint64_t kNotifyCrossoverBytes = 4096;
+
+inline NotifyPlan PlanNotification(NotifyMode mode, uint64_t write_len) {
   bool use_imm;
   switch (mode) {
     case NotifyMode::kWriteImm: use_imm = true; break;
     case NotifyMode::kWriteSend: use_imm = false; break;
-    case NotifyMode::kAdaptive: use_imm = write_len < crossover_bytes; break;
+    case NotifyMode::kAdaptive:
+      use_imm = write_len < kNotifyCrossoverBytes;
+      break;
     default: use_imm = true; break;
   }
   NotifyPlan plan;

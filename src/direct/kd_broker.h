@@ -18,7 +18,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "direct/control.h"
@@ -33,6 +32,9 @@ namespace kafkadirect {
 namespace kd {
 
 class KafkaDirectBroker;
+
+/// Ctrl-message receives posted per accepted QP (without the SRQ).
+constexpr int kCtrlRecvsPerQp = 256;
 
 /// Broker-side state of one RDMA-writable file (a produce grant or a
 /// replication target). Keyed by the 16-bit file ID carried in immediates.
@@ -283,9 +285,6 @@ class KafkaDirectBroker : public kafka::Broker {
   sim::Co<void> WatchQpFailure(std::shared_ptr<rdma::QueuePair> qp);
   void PostCtrlRecvs(const std::shared_ptr<rdma::QueuePair>& qp, int n);
   void SendCtrl(uint32_t qp_num, const CtrlMsg& msg);
-  /// Fans `msgs` out to one QP as a single-doorbell postlist (chunked to
-  /// the send-queue capacity).
-  void SendCtrlBatch(uint32_t qp_num, std::span<const CtrlMsg> msgs);
   /// Dispatches one CQE from the shared broker CQ (synchronous — the
   /// poller drains whole batches between wakeups).
   void HandleRdmaCompletion(const rdma::WorkCompletion& wc);

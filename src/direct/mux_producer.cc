@@ -17,6 +17,12 @@ constexpr int kAckRecvDepth = 512;
 // endpoint was evicted again mid-reconnect); the reconnect pass retries.
 constexpr sim::TimeNs kGrantTimeout = 20ll * 1000 * 1000;  // 20 ms
 constexpr int kMaxReconnectAttempts = 10;
+/// Max completions drained per CQ wakeup.
+constexpr size_t kPollBatch = 4;
+/// Signal every Nth notify Send (clamped to max_send_wr/4 at connect).
+constexpr int kSignalInterval = 16;
+/// Lazy-reconnect backoff when the broker gave no retry-after hint.
+constexpr sim::TimeNs kReconnectBackoff = 100 * 1000;  // 100 us
 }  // namespace
 
 MuxProducer::MuxProducer(sim::Simulator& sim, net::Fabric& fabric,
@@ -72,11 +78,9 @@ sim::Co<Status> MuxProducer::EstablishTransport() {
   send_cq_ = rnic_.CreateCq();
   recv_cq_ = rnic_.CreateCq();
   qp_ = rnic_.CreateQp(send_cq_, recv_cq_);
-  if (config_.signal_interval > 1) {
-    int cap = std::max(1, fabric_.cost().rdma.max_send_wr / 4);
-    signal_every_ = std::min(config_.signal_interval, cap);
-    qp_->set_selective_signaling(true);
-  }
+  const int cap = std::max(1, fabric_.cost().rdma.max_send_wr / 4);
+  signal_every_ = std::min(kSignalInterval, cap);
+  qp_->set_selective_signaling(true);
   auto broker_qp = co_await leader_->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
@@ -402,10 +406,9 @@ void MuxProducer::HandleAck(const CtrlMsg& msg) {
 
 sim::Co<void> MuxProducer::RecvAckLoop(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  std::vector<rdma::WorkCompletion> wcs(kPollBatch);
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(wcs.data(), kPollBatch);
     if (!*alive || n == 0) co_return;  // CQ shut down (Close/reconnect)
     for (size_t i = 0; i < n; i++) {
       const rdma::WorkCompletion& wc = wcs[i];
@@ -437,10 +440,9 @@ sim::Co<void> MuxProducer::RecvAckLoop(
 
 sim::Co<void> MuxProducer::SendCqDrainer(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  std::vector<rdma::WorkCompletion> wcs(kPollBatch);
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(wcs.data(), kPollBatch);
     if (!*alive || n == 0) co_return;
     for (size_t i = 0; i < n; i++) {
       if (!wcs[i].ok() && cq == send_cq_) OnTransportFailure();
@@ -490,7 +492,7 @@ sim::Co<Status> MuxProducer::Reconnect() {
   // connection cache again) — detected by the failure epoch moving under
   // us between awaits.
   for (int attempt = 0; attempt < kMaxReconnectAttempts; attempt++) {
-    co_await sim::Delay(sim_, config_.reconnect_backoff_ns * (attempt + 1));
+    co_await sim::Delay(sim_, kReconnectBackoff * (attempt + 1));
     if (closed_ || !*alive_) {
       reconnect_mu_->Unlock();
       co_return Status::Disconnected("endpoint closed");

@@ -44,12 +44,6 @@ struct MuxProducerConfig {
   /// Per-endpoint pipelining window across all streams.
   int max_inflight = 16;
   uint64_t producer_id = 0;
-  /// Max completions drained per CQ wakeup.
-  int poll_batch = 4;
-  /// Signal every Nth notify Send (clamped to max_send_wr/4 at connect).
-  int signal_interval = 16;
-  /// Lazy-reconnect backoff when the broker gave no retry-after hint.
-  sim::TimeNs reconnect_backoff_ns = 100 * 1000;
 };
 
 /// Result of a bulk stream open.

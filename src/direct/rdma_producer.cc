@@ -255,16 +255,13 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
   wr.length = static_cast<uint32_t>(pending->batch.size());
   wr.remote_addr = self->file_addr_ + pos;
   wr.rkey = self->file_rkey_;
-  // Shared notification policy (control.h): the legacy boolean forces
-  // Write+Send; otherwise the configured mode (static or size-adaptive)
-  // decides per message. Selective signaling thins the signal to every
-  // `signal_every_`th notification WR — acks arrive via the broker's
-  // ctrl Sends, so the producer never depends on its own data CQEs.
-  NotifyMode mode = self->config_.write_send_notification
-                        ? NotifyMode::kWriteSend
-                        : self->config_.notify_mode;
-  NotifyPlan plan = PlanNotification(mode, pending->batch.size(),
-                                     self->config_.notify_crossover_bytes);
+  // Shared notification policy (control.h): the configured mode (static
+  // or size-adaptive) decides per message. Selective signaling thins the
+  // signal to every `signal_every_`th notification WR — acks arrive via
+  // the broker's ctrl Sends, so the producer never depends on its own
+  // data CQEs.
+  NotifyPlan plan =
+      PlanNotification(self->config_.notify_mode, pending->batch.size());
   bool signal_this =
       self->signal_every_ <= 1 ||
       (++self->notify_seq_ % static_cast<uint64_t>(self->signal_every_)) == 0;

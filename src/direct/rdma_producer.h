@@ -29,10 +29,6 @@ struct RdmaProducerConfig {
   bool exclusive = true;
   int max_inflight = 1;
   uint64_t producer_id = 0;
-  /// §4.2.2 "the choice of notification method": false = WriteWithImm (the
-  /// paper's pick, lowest latency); true = a plain RDMA Write followed by
-  /// a Send carrying the metadata (supports >32 bits of metadata).
-  bool write_send_notification = false;
   /// Max completions drained per CQ wakeup in the ack/send-CQ loops.
   /// 1 (default) polls one CQE per wakeup and is schedule-identical to the
   /// pre-batching behaviour; >1 amortizes the wakeup over a batch.
@@ -44,12 +40,12 @@ struct RdmaProducerConfig {
   /// (FAA claims stay signaled — their result is awaited). Clamped to
   /// max_send_wr/4 so a signaled WR always exists within a full SQ.
   int signal_interval = 1;
-  /// Notification policy (control.h PlanNotification). kWriteImm is the
-  /// paper's default; kAdaptive picks WriteWithImm below
-  /// `notify_crossover_bytes` and Write+Send at or above it. The legacy
-  /// `write_send_notification` flag forces kWriteSend when set.
+  /// §4.2.2 "the choice of notification method" (control.h
+  /// PlanNotification). kWriteImm is the paper's pick (lowest latency);
+  /// kWriteSend is a plain RDMA Write followed by a Send carrying the
+  /// metadata (supports >32 bits of metadata); kAdaptive picks WriteWithImm
+  /// below kNotifyCrossoverBytes and Write+Send at or above it.
   NotifyMode notify_mode = NotifyMode::kWriteImm;
-  uint32_t notify_crossover_bytes = 4096;
 };
 
 class RdmaProducer {

@@ -229,8 +229,7 @@ sim::Co<void> OneProducer(TestCluster* cluster, SystemKind kind,
               .max_inflight = options.max_inflight,
               .producer_id = tenant,
               .signal_interval = options.signal_interval,
-              .notify_mode = options.notify_mode,
-              .notify_crossover_bytes = options.notify_crossover_bytes});
+              .notify_mode = options.notify_mode});
       kd::KafkaDirectBroker* leader = cluster->Leader(tp);
       KD_CHECK_OK(co_await rdma_producer->Connect(leader, tp));
       break;

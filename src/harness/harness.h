@@ -136,7 +136,6 @@ struct ProduceOptions {
   /// TCP/OSU systems.
   int signal_interval = 1;
   kd::NotifyMode notify_mode = kd::NotifyMode::kWriteImm;
-  uint32_t notify_crossover_bytes = 4096;
 };
 
 struct WorkloadResult {

@@ -9,6 +9,13 @@
 namespace kafkadirect {
 namespace kafka {
 
+/// Network threads that frame requests off the TCP connections (Kafka's
+/// num.network.threads default).
+constexpr int kNumNetworkThreads = 3;
+
+/// Follower fetch size on the TCP pull-replication path.
+constexpr uint32_t kReplicaFetchMaxBytes = 4u << 20;
+
 Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
                BrokerConfig config)
     : sim_(sim),
@@ -18,7 +25,7 @@ Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
       node_(fabric.AddNode("broker-" + std::to_string(config.id))),
       rnic_(sim, fabric, node_),
       requests_(sim),
-      net_threads_(sim, config.num_network_threads) {
+      net_threads_(sim, kNumNetworkThreads) {
   // Observability registration happens once here; hot paths only bump the
   // resulting pointers (no allocation, preserving the zero-alloc loops).
   obs::Observability& ob = fabric.obs();
@@ -568,7 +575,7 @@ sim::Co<void> Broker::StoreCommittedOffset(PartitionState* ps,
   // Leaders forward the commit to every ISR follower before acking, so the
   // offset survives a leader kill and a rebalanced consumer can resume
   // exactly-once from the surviving replica.
-  if (config_.cp_replicate_commits && ps->is_leader && cp_ != nullptr) {
+  if (ps->is_leader && cp_ != nullptr) {
     std::vector<uint8_t> frame = Encode(creq);
     // Snapshot: ApplyLeaderAndIsr may reassign ps->isr while PeerRpc is
     // suspended, which would invalidate iterators into the live vector.
@@ -746,8 +753,8 @@ sim::Co<void> Broker::ReplicaFetcherLoop(TopicPartitionId tp,
     FetchRequest freq;
     freq.tp = tp;
     freq.offset = ps->log.log_end_offset();
-    freq.max_bytes = config_.replica_fetch_max_bytes;
-    freq.max_wait_ns = config_.replica_fetch_max_wait;
+    freq.max_bytes = kReplicaFetchMaxBytes;
+    freq.max_wait_ns = kReplicaFetchMaxWait;
     freq.is_replica = true;
     freq.replica_id = config_.id;
     if (!(co_await conn->Send(Encode(freq, buf_pool_.Acquire()), false))

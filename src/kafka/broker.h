@@ -46,10 +46,14 @@ namespace kafka {
 /// moved in between.
 constexpr sim::TimeNs kProducePurgatoryTimeout = Seconds(30);
 
+/// TCP pull replication: how long a follower's fetch long-polls the leader.
+/// The controller's ISR check reads it too, to tell a caught-up follower
+/// parked in a long poll from a dead one.
+constexpr sim::TimeNs kReplicaFetchMaxWait = Millis(500);
+
 struct BrokerConfig {
   int32_t id = 0;
   int num_api_workers = 8;
-  int num_network_threads = 3;
   // Paper: 1 GiB. Segments are demand-zero, so capacity reserves address
   // space, not RAM; 64 MiB fixes the rotation points every figure and gate
   // depends on.
@@ -59,10 +63,6 @@ struct BrokerConfig {
   bool rdma_produce = false;
   bool rdma_replicate = false;
   bool rdma_consume = false;
-
-  // TCP pull replication.
-  sim::TimeNs replica_fetch_max_wait = 500 * 1000 * 1000;  // 500 ms
-  uint32_t replica_fetch_max_bytes = 4u << 20;
 
   // RDMA push replication (§4.3.2).
   uint32_t push_replication_credits = 64;
@@ -79,9 +79,6 @@ struct BrokerConfig {
   int srq_depth = 0;
   /// Max completions drained per poller wakeup (1 = per-CQE polling).
   int cq_poll_batch = 1;
-  /// Chain multi-WR control fan-out (ack bursts, replication write +
-  /// HWM update) into single-doorbell postlists.
-  bool rdma_postlist = false;
 
   // --- Next-generation datapath protocols (DESIGN.md §12). All default
   // off so the baseline event schedule and golden traces are unchanged. ---
@@ -102,9 +99,6 @@ struct BrokerConfig {
   /// in flight below its posted-receive pool — a slow follower throttles
   /// the leader without RNR storms, and credit messages are batched.
   bool receiver_paced_credits = false;
-  /// Idle flush interval for batched credit grants (bounds LEO/HWM
-  /// propagation delay when the drain pauses). <= 0 takes 200 us.
-  sim::TimeNs credit_flush_interval_ns = 0;
 
   // Shared RDMA produce: how long request i waits for request i-1 before
   // the broker aborts and revokes access (§4.2.2).
@@ -118,8 +112,6 @@ struct BrokerConfig {
   /// 32-bit stream id in the ctrl header, with per-stream notify credits
   /// layered on the SRQ.
   bool qp_mux = false;
-  /// Notify credits granted per logical stream at open.
-  uint32_t mux_stream_credits = 4;
 
   /// DCT-like connection cache: keep live transport QPs in an LRU, evict
   /// the coldest (Disconnect) when over capacity. Clients reconnect
@@ -141,8 +133,6 @@ struct BrokerConfig {
   bool admission_control = false;
   /// Cap on simultaneously-open logical streams (0 = arena capacity).
   uint32_t admission_max_streams = 0;
-  /// Suggested client backoff carried in the rejection grant.
-  sim::TimeNs admission_retry_after_ns = 1 * 1000 * 1000;  // 1 ms
 
   /// FAULT INJECTION (monitor/flight-recorder tests only): a paced credit
   /// flush grants this many credits beyond the pacer's target window,
@@ -156,28 +146,10 @@ struct BrokerConfig {
   /// Run the controller/coordinator protocol: sim-clock term/heartbeat
   /// controller election, broker-death detection, ISR-elected partition
   /// leader failover, ISR shrink/expand under lag, and the consumer-group
-  /// coordinator (join/sync/heartbeat/rebalance generations).
+  /// coordinator (join/sync/heartbeat/rebalance generations). Its timings
+  /// are constants in controller.cc and group.cc; leaders always replicate
+  /// TCP offset commits through the ISR before acking.
   bool control_plane = false;
-  /// Controller -> broker liveness probe period (also the watchdog tick).
-  sim::TimeNs cp_heartbeat_interval_ns = 2 * 1000 * 1000;  // 2 ms
-  /// Consecutive missed heartbeats before a broker is declared dead.
-  int cp_miss_limit = 3;
-  /// Per-rank delay added to the controller-takeover timeout, so exactly
-  /// one surviving broker claims the next term (lowest id first).
-  sim::TimeNs cp_election_stagger_ns = 4 * 1000 * 1000;  // 2 heartbeats
-  /// ISR lag management: a follower more than this many records behind the
-  /// leader LEO is shrunk out of the ISR; it rejoins once its lag drops
-  /// back under half the threshold and it has fetched recently.
-  int64_t cp_isr_max_lag_records = 512;
-  sim::TimeNs cp_isr_check_interval_ns = 4 * 1000 * 1000;
-  /// Group member expiry: no heartbeat for this long => expelled.
-  sim::TimeNs cp_session_timeout_ns = 20 * 1000 * 1000;  // 20 ms
-  /// Join-window quiesce: a rebalance generation forms once no new join
-  /// has arrived for this long (storms coalesce into one generation).
-  sim::TimeNs cp_rebalance_delay_ns = 1 * 1000 * 1000;  // 1 ms
-  /// Leaders forward TCP offset commits to ISR followers before acking,
-  /// so committed offsets survive a leader kill.
-  bool cp_replicate_commits = true;
 };
 
 /// Broker-side runtime counters, used by benches for CPU-load and

@@ -11,6 +11,19 @@ namespace kafka {
 
 namespace {
 
+/// Controller -> broker liveness probe period (also the watchdog tick).
+constexpr sim::TimeNs kHeartbeatInterval = Millis(2);
+/// Consecutive missed heartbeats before a broker is declared dead.
+constexpr int kMissLimit = 3;
+/// Per-rank delay added to the controller-takeover timeout, so exactly one
+/// surviving broker claims the next term (lowest id first).
+constexpr sim::TimeNs kElectionStagger = Millis(4);  // 2 heartbeats
+/// ISR lag management: a follower more than this many records behind the
+/// leader LEO is shrunk out of the ISR; it rejoins once its lag drops back
+/// under half the threshold and it has fetched recently.
+constexpr int64_t kIsrMaxLagRecords = 512;
+constexpr sim::TimeNs kIsrCheckInterval = Millis(4);
+
 bool Contains(const std::vector<int32_t>& v, int32_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -208,13 +221,10 @@ void ControlPlane::StepDown(int64_t new_term, int32_t new_controller) {
 }
 
 sim::Co<void> ControlPlane::WatchdogLoop() {
-  const sim::TimeNs interval = broker_.config().cp_heartbeat_interval_ns;
-  const sim::TimeNs base_timeout =
-      static_cast<sim::TimeNs>(broker_.config().cp_miss_limit) * interval;
   const sim::TimeNs timeout =
-      base_timeout + rank_ * broker_.config().cp_election_stagger_ns;
+      kMissLimit * kHeartbeatInterval + rank_ * kElectionStagger;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kHeartbeatInterval);
     if (!running_) co_return;
     if (is_controller_) continue;
     if (sim_.Now() - last_heartbeat_ns_ >= timeout) {
@@ -227,9 +237,8 @@ sim::Co<void> ControlPlane::WatchdogLoop() {
 }
 
 sim::Co<void> ControlPlane::HeartbeatLoop() {
-  const sim::TimeNs interval = broker_.config().cp_heartbeat_interval_ns;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kHeartbeatInterval);
     if (!running_) co_return;
     if (!is_controller_) continue;
     co_await HeartbeatRound();
@@ -247,7 +256,7 @@ sim::Co<void> ControlPlane::HeartbeatRound() {
     auto reply_or = co_await PeerRpc(p.info.id, Encode(hb));
     if (!reply_or.ok()) {
       p.missed++;
-      if (p.missed >= broker_.config().cp_miss_limit) {
+      if (p.missed >= kMissLimit) {
         p.alive = false;
         p.missed = 0;
         broker_deaths_->Increment();
@@ -341,15 +350,12 @@ sim::Co<void> ControlPlane::Broadcast(LeaderAndIsrRequest req) {
 }
 
 sim::Co<void> ControlPlane::IsrLoop() {
-  const sim::TimeNs interval = broker_.config().cp_isr_check_interval_ns;
-  const int64_t max_lag = broker_.config().cp_isr_max_lag_records;
   // A follower may only re-enter the ISR if it fetched within a long-poll
   // round plus one check interval — a dead follower's lag reads as zero on
   // an idle partition, but it never fetches.
-  const sim::TimeNs freshness =
-      broker_.config().replica_fetch_max_wait + interval;
+  constexpr sim::TimeNs freshness = kReplicaFetchMaxWait + kIsrCheckInterval;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kIsrCheckInterval);
     if (!running_) co_return;
     for (auto& [tp, ps] : broker_.partitions_) {
       if (!running_) co_return;
@@ -363,11 +369,11 @@ sim::Co<void> ControlPlane::IsrLoop() {
         if (it == ps->follower_leo.end()) continue;
         const int64_t lag = leo - it->second;
         const bool in = Contains(nisr, r);
-        if (in && lag > max_lag) {
+        if (in && lag > kIsrMaxLagRecords) {
           Erase(&nisr, r);
           isr_shrinks_->Increment();
           changed = true;
-        } else if (!in && lag <= max_lag / 2) {
+        } else if (!in && lag <= kIsrMaxLagRecords / 2) {
           // Never re-admit a broker the controller declared dead: right
           // after the death its last fetch still looks fresh.
           if (!IsAlive(r)) continue;

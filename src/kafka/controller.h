@@ -15,7 +15,7 @@
 //     to all alive brokers. Partitions where the dead broker followed get
 //     an ISR shrink so the leader's HWM stops waiting on it.
 //   - Leaders manage ISR membership under replication lag (shrink beyond
-//     cp_isr_max_lag_records, expand once caught up and recently seen) and
+//     kIsrMaxLagRecords, expand once caught up and recently seen) and
 //     report changes to the controller, which rebroadcasts.
 //   - Every broker mirrors the full assignment map (RecordAssignment), so
 //     whichever broker wins the next election can fail partitions over.

@@ -1,12 +1,20 @@
 #include "kafka/group.h"
 
-#include <algorithm>
-
 #include "kafka/controller.h"
 #include "sim/awaitable.h"
 
 namespace kafkadirect {
 namespace kafka {
+
+namespace {
+
+/// Member expiry: no heartbeat for this long => expelled.
+constexpr sim::TimeNs kSessionTimeout = Millis(20);
+/// Join-window quiesce: a rebalance generation forms once no new join has
+/// arrived for this long (storms coalesce into one generation).
+constexpr sim::TimeNs kRebalanceDelay = Millis(1);
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // GroupCoordinator
@@ -70,8 +78,8 @@ void GroupCoordinator::StartRebalance(const GroupPtr& g) {
   // it does, and FormGeneration drops whoever misses the hard deadline.
   for (auto& [name, m] : g->members) m.pending_join = false;
   const sim::TimeNs now = sim_.Now();
-  g->join_deadline = now + broker_.config().cp_rebalance_delay_ns;
-  g->prepare_deadline = now + broker_.config().cp_session_timeout_ns;
+  g->join_deadline = now + kRebalanceDelay;
+  g->prepare_deadline = now + kSessionTimeout;
   if (!g->form_loop_running) {
     g->form_loop_running = true;
     sim::Spawn(sim_, FormLoop(g));
@@ -79,8 +87,7 @@ void GroupCoordinator::StartRebalance(const GroupPtr& g) {
 }
 
 sim::Co<void> GroupCoordinator::FormLoop(GroupPtr g) {
-  const sim::TimeNs tick =
-      std::max<sim::TimeNs>(1, broker_.config().cp_rebalance_delay_ns / 2);
+  constexpr sim::TimeNs tick = kRebalanceDelay / 2;
   while (running_ && !g->dead && g->phase == GroupState::kPreparing) {
     co_await sim::Delay(sim_, tick);
     if (!running_ || g->dead || g->phase != GroupState::kPreparing) break;
@@ -159,8 +166,7 @@ sim::Co<void> GroupCoordinator::RespondJoin(net::MessageStreamPtr conn,
       broker_.SendResponse(conn, Encode(resp));
       co_return;
     }
-    const bool fired = co_await g->formed->WaitFor(
-        broker_.config().cp_session_timeout_ns);
+    const bool fired = co_await g->formed->WaitFor(kSessionTimeout);
     if (!fired) {
       resp.error = ErrorCode::kRebalanceInProgress;
       broker_.SendResponse(conn, Encode(resp));
@@ -196,7 +202,7 @@ sim::Co<void> GroupCoordinator::HandleJoin(Broker::Request req) {
   MemberState& m = g->members[jreq.member];
   m.pending_join = true;
   m.last_hb = sim_.Now();
-  g->join_deadline = sim_.Now() + broker_.config().cp_rebalance_delay_ns;
+  g->join_deadline = sim_.Now() + kRebalanceDelay;
   // The join parks until the generation forms; answer from a side task so
   // this API worker goes back to the queue.
   sim::Spawn(sim_, RespondJoin(req.conn, g, jreq.member));
@@ -302,8 +308,7 @@ sim::Co<void> GroupCoordinator::HandleLeave(Broker::Request req) {
 }
 
 sim::Co<void> GroupCoordinator::ExpiryLoop() {
-  const sim::TimeNs session = broker_.config().cp_session_timeout_ns;
-  const sim::TimeNs tick = std::max<sim::TimeNs>(1, session / 4);
+  constexpr sim::TimeNs tick = kSessionTimeout / 4;
   while (running_) {
     co_await sim::Delay(sim_, tick);
     if (!running_) co_return;
@@ -314,7 +319,7 @@ sim::Co<void> GroupCoordinator::ExpiryLoop() {
       if (g->phase != GroupState::kStable) continue;
       bool expired = false;
       for (auto it = g->members.begin(); it != g->members.end();) {
-        if (now - it->second.last_hb > session) {
+        if (now - it->second.last_hb > kSessionTimeout) {
           it = g->members.erase(it);
           expirations_->Increment();
           expired = true;

@@ -13,7 +13,7 @@
 //   leave   — graceful exit, triggers an immediate rebalance.
 //
 // Offsets are NOT coordinator state: members commit through the partition
-// leaders (TCP CommitOffset — ISR-replicated when cp_replicate_commits —
+// leaders (TCP CommitOffset, replicated through the ISR before the ack,
 // or the RDMA commit slot), and resume by FetchCommittedOffset at the
 // (possibly new) leader. That is how a rebalanced consumer lands
 // exactly-once on the broker's RDMA-committed count.

@@ -71,13 +71,6 @@ struct RdmaModel {
   /// Responder turnaround for a Read (fetch from memory, form response).
   sim::TimeNs read_response_ns = 700;
 
-  /// Posting cost of a chained work request in a postlist (ibv_post_send
-  /// with a `next`-linked WR list): the WQE write without a doorbell ring.
-  /// Only the chain head pays `doorbell_ns`; every later WR in the chain
-  /// pays this instead — the standard lever for amortizing MMIO cost when
-  /// fanning out many small messages.
-  sim::TimeNs postlist_wqe_ns = 20;
-
   /// Default queue sizes. CQ overflow puts the QP in error state, which is
   /// what motivates the paper's credit-based replication flow control.
   int max_send_wr = 128;

@@ -131,7 +131,6 @@ QueuePair::QueuePair(Rnic* rnic, std::shared_ptr<CompletionQueue> send_cq,
   sig_counters_.doorbells = ob.metrics.GetCounter("kd.rdma.doorbells");
   sig_counters_.cqes = ob.metrics.GetCounter("kd.rdma.cqes");
   sig_counters_.rnr_events = ob.metrics.GetCounter("kd.rdma.rnr_events");
-  postlist_hist_ = ob.metrics.GetHistogram("kd.rdma.postlist_len");
   flight_ = &ob.flight;
   flight_shard_ = sim_.shard_id();
   tracer_ = &ob.tracer;
@@ -203,7 +202,7 @@ Status QueuePair::PostSend(const WorkRequest& wr) {
   agg_counters_.bytes->Increment(queued.length);
   sig_counters_.wrs_posted->Increment();
   if (queued.signaled) sig_counters_.wrs_signaled->Increment();
-  if (!queued.chained) sig_counters_.doorbells->Increment();
+  sig_counters_.doorbells->Increment();
   flight_->Record(flight_shard_, sim_.Now(), obs::FlightEventType::kVerbPosted,
                   qp_num_, static_cast<uint32_t>(queued.opcode),
                   queued.length);
@@ -212,40 +211,6 @@ Status QueuePair::PostSend(const WorkRequest& wr) {
   queued.span_id = tracer_->AsyncBegin(trace_track_, SpanName(queued.opcode));
   outstanding_++;
   send_ch_.Push(std::move(queued));
-  return Status::OK();
-}
-
-Status QueuePair::PostSend(std::span<const WorkRequest> wrs) {
-  if (wrs.empty()) return Status::OK();
-  if (state_ != State::kConnected) {
-    return Status::Disconnected("PostSend: QP not connected");
-  }
-  if (outstanding_ + wrs.size() >
-      static_cast<size_t>(rnic_->cost().rdma.max_send_wr)) {
-    return Status::ResourceExhausted(
-        "PostSend: postlist exceeds send queue capacity");
-  }
-  // All-or-nothing: validate the whole chain before posting any of it.
-  for (const WorkRequest& wr : wrs) {
-    if (IsAtomic(wr.opcode) && wr.remote_addr % 8 != 0) {
-      return Status::InvalidArgument("atomic target must be 8-byte aligned");
-    }
-    if (wr.send_inline) {
-      if (!CanInline(wr.opcode)) {
-        return Status::InvalidArgument("inline only valid for sends/writes");
-      }
-      if (wr.length > WorkRequest::kMaxInlineData) {
-        return Status::InvalidArgument("inline payload too large");
-      }
-    }
-  }
-  for (size_t i = 0; i < wrs.size(); i++) {
-    WorkRequest wr = wrs[i];
-    wr.chained = i > 0;  // chain head rings the only doorbell
-    Status s = PostSend(wr);
-    if (!s.ok()) return s;  // unreachable after the validation above
-  }
-  postlist_hist_->Add(static_cast<int64_t>(wrs.size()));
   return Status::OK();
 }
 
@@ -412,10 +377,8 @@ sim::Co<void> QueuePair::SendEngine(std::shared_ptr<QueuePair> self) {
       self->CompleteInitiator(wr, WcStatus::kWrFlushed, sim.Now(), 0);
       continue;
     }
-    // WQE fetch + doorbell + NIC processing, serialized per QP. Chained
-    // postlist WRs skip the doorbell — only the chain head rang it.
-    co_await sim::Delay(
-        sim, (wr.chained ? m.postlist_wqe_ns : m.doorbell_ns) + m.process_ns);
+    // WQE fetch + doorbell + NIC processing, serialized per QP.
+    co_await sim::Delay(sim, m.doorbell_ns + m.process_ns);
     if (self->state_ != State::kConnected) {
       self->CompleteInitiator(wr, WcStatus::kWrFlushed, sim.Now(), 0);
       continue;

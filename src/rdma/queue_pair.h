@@ -47,13 +47,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   /// the send queue is full.
   Status PostSend(const WorkRequest& wr);
 
-  /// Postlist variant (ibv_post_send with a `next`-chained WR list): the
-  /// whole chain is validated up front and posted all-or-nothing — one
-  /// doorbell for the chain head, `postlist_wqe_ns` per later WR.
-  /// (Deviation from real verbs, which partially post and return bad_wr;
-  /// all-or-nothing keeps simulation state simple. See DESIGN.md §10.)
-  Status PostSend(std::span<const WorkRequest> wrs);
-
   /// Posts a receive buffer (required for incoming Send / WriteWithImm).
   /// `buf` may be null for immediate-only receives. Invalid on an
   /// SRQ-attached QP — post to the SRQ instead.
@@ -181,12 +174,11 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   struct SignalCounters {
     obs::Counter* wrs_posted = nullptr;    // every send-queue WR
     obs::Counter* wrs_signaled = nullptr;  // WRs posted with signaled=true
-    obs::Counter* doorbells = nullptr;     // non-chained posts (MMIO rings)
+    obs::Counter* doorbells = nullptr;     // posts (MMIO doorbell rings)
     obs::Counter* cqes = nullptr;          // CQEs delivered (send+recv side)
     obs::Counter* rnr_events = nullptr;    // receiver-not-ready teardowns
   };
   SignalCounters sig_counters_;
-  obs::LogLinearHistogram* postlist_hist_ = nullptr;
   obs::SpanTracer* tracer_;
   obs::TrackId trace_track_ = 0;
   // Flight recorder (always-on black box): every posted verb and RNR

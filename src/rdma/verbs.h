@@ -80,11 +80,6 @@ struct WorkRequest {
   /// Tracing correlation id (obs::SpanTracer async span), assigned by
   /// PostSend when tracing is enabled; 0 otherwise.
   uint64_t span_id = 0;
-
-  /// Set by the postlist PostSend overload on every WR after the chain
-  /// head (the `next`-pointer analogue). A chained WR pays the cheaper
-  /// `postlist_wqe_ns` instead of a full doorbell. Not for callers.
-  bool chained = false;
 };
 
 /// A receive work request: the buffer a Send / WriteWithImm payload lands

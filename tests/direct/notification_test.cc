@@ -12,6 +12,10 @@ namespace {
 
 using kafka::TopicPartitionId;
 
+NotifyMode ModeFor(bool write_send) {
+  return write_send ? NotifyMode::kWriteSend : NotifyMode::kWriteImm;
+}
+
 class NotificationModeTest : public KdClusterTest,
                              public ::testing::WithParamInterface<bool> {};
 
@@ -22,7 +26,7 @@ TEST_P(NotificationModeTest, ExclusiveProduceEquivalent) {
   RdmaProducer producer(
       sim_, *fabric_, *tcpnet_, client_node_,
       RdmaProducerConfig{.exclusive = true, .max_inflight = 8,
-                         .write_send_notification = write_send});
+                         .notify_mode = ModeFor(write_send)});
   bool done = false;
   auto run = [](KdClusterTest* t, RdmaProducer* p, TopicPartitionId tp,
                 bool* done) -> sim::Co<void> {
@@ -63,7 +67,7 @@ TEST_P(NotificationModeTest, SharedProduceEquivalent) {
     RdmaProducer p(
         t->sim_, *t->fabric_, *t->tcpnet_, t->fabric_->AddNode("n"),
         RdmaProducerConfig{.exclusive = false, .max_inflight = 4,
-                           .write_send_notification = write_send});
+                           .notify_mode = ModeFor(write_send)});
     KD_CHECK((co_await p.Connect(t->Leader(tp), tp)).ok());
     std::string v(100, tag);
     for (int i = 0; i < 30; i++) {
@@ -110,7 +114,7 @@ TEST_F(KdClusterTest, WriteSendSlightlySlowerThanWriteWithImm) {
       RdmaProducer p(t->sim_, *t->fabric_, *t->tcpnet_,
                      t->fabric_->AddNode("ws"),
                      RdmaProducerConfig{.exclusive = true,
-                                        .write_send_notification = true});
+                                        .notify_mode = NotifyMode::kWriteSend});
       KD_CHECK((co_await p.Connect(t->Leader(tp), tp)).ok());
       for (int i = 0; i < 40; i++) {
         KD_CHECK((co_await p.Produce(Slice("k", 1), Slice("v", 1))).ok());

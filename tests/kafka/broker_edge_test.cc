@@ -169,7 +169,7 @@ TEST_F(BrokerEdgeTest, FollowerHwmCatchesUpToLeader) {
   sim::Spawn(sim_, run(this, &producer, &done));
   RunToFlag(&done);
   // The follower learns the HWM from fetch responses; the final update
-  // rides the next (long-polled) fetch, up to replica_fetch_max_wait
+  // rides the next (long-polled) fetch, up to kReplicaFetchMaxWait
   // (500 ms) later — the same lag real Kafka followers have.
   PartitionState* follower = cluster_->broker(1)->GetPartition({"t", 0});
   EXPECT_EQ(follower->log.log_end_offset(), 10);

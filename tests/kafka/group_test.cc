@@ -195,7 +195,7 @@ TEST_F(GroupTest, CommittedOffsetSurvivesLeaderKill) {
                             &committed));
   sim_.RunFor(Millis(50));
   ASSERT_TRUE(committed);
-  // cp_replicate_commits forwarded the commit to every ISR follower.
+  // The leader forwarded the commit to every ISR follower.
   EXPECT_EQ(cluster_->broker(1)->GetPartition(tp)->committed_offsets["g"],
             42);
   EXPECT_EQ(cluster_->broker(2)->GetPartition(tp)->committed_offsets["g"],

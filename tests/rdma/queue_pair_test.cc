@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -294,98 +293,6 @@ TEST_F(QpTest, UnsignaledWritesProduceNoCqe) {
   EXPECT_EQ(client_cq_->depth(), 0u);
   EXPECT_EQ(remote[0], 0x7);
   EXPECT_EQ(client_qp_->outstanding_sends(), 0u);  // slot reclaimed
-}
-
-TEST_F(QpTest, PostlistPreservesPerQpOrdering) {
-  std::vector<uint8_t> remote(4 * kKiB);
-  auto mr = server_nic_
-                .RegisterMemory(remote.data(), remote.size(),
-                                kAccessRemoteWrite)
-                .value();
-  std::vector<uint8_t> local(256, 0x5A);
-  std::vector<WorkRequest> chain(8);
-  for (uint64_t i = 0; i < chain.size(); i++) {
-    chain[i].wr_id = i;
-    chain[i].opcode = Opcode::kWrite;
-    chain[i].local_addr = local.data();
-    chain[i].length = 256;
-    chain[i].remote_addr = mr->addr() + i * 256;
-    chain[i].rkey = mr->rkey();
-  }
-  ASSERT_TRUE(
-      client_qp_->PostSend(std::span<const WorkRequest>(chain)).ok());
-  std::vector<WorkCompletion> wcs;
-  sim::Spawn(sim_, AwaitCqe(client_cq_.get(), &wcs, 8));
-  sim_.Run();
-  ASSERT_EQ(wcs.size(), 8u);
-  for (uint64_t i = 0; i < 8; i++) {
-    EXPECT_EQ(wcs[i].wr_id, i) << "postlist completion out of order";
-    EXPECT_TRUE(wcs[i].ok());
-  }
-  EXPECT_EQ(remote[7 * 256], 0x5A);
-}
-
-TEST_F(QpTest, PostlistChargesOneDoorbell) {
-  // Same 8 writes, chained vs posted one by one: the chain pays one
-  // doorbell_ns plus postlist_wqe_ns per extra WR, so it must finish
-  // earlier by (n-1) * (doorbell_ns - postlist_wqe_ns).
-  auto run = [](bool chained) -> sim::TimeNs {
-    sim::Simulator sim;
-    CostModel cost;
-    net::Fabric fabric(sim, cost);
-    auto cn = fabric.AddNode("client");
-    auto sn = fabric.AddNode("server");
-    Rnic cnic(sim, fabric, cn), snic(sim, fabric, sn);
-    auto ccq = cnic.CreateCq();
-    auto scq = snic.CreateCq();
-    auto cqp = cnic.CreateQp(ccq, ccq);
-    auto sqp = snic.CreateQp(scq, scq);
-    KD_CHECK_OK(Connect(cqp, sqp));
-    std::vector<uint8_t> remote(4 * kKiB);
-    auto mr = snic.RegisterMemory(remote.data(), remote.size(),
-                                  kAccessRemoteWrite)
-                  .value();
-    std::vector<uint8_t> local(64, 1);
-    std::vector<WorkRequest> wrs(8);
-    for (uint64_t i = 0; i < wrs.size(); i++) {
-      wrs[i].wr_id = i;
-      wrs[i].opcode = Opcode::kWrite;
-      wrs[i].local_addr = local.data();
-      wrs[i].length = 64;
-      wrs[i].remote_addr = mr->addr();
-      wrs[i].rkey = mr->rkey();
-    }
-    if (chained) {
-      KD_CHECK_OK(cqp->PostSend(std::span<const WorkRequest>(wrs)));
-    } else {
-      for (const auto& wr : wrs) KD_CHECK_OK(cqp->PostSend(wr));
-    }
-    std::vector<WorkCompletion> wcs;
-    sim::Spawn(sim, AwaitCqe(ccq.get(), &wcs, 8));
-    sim.Run();
-    KD_CHECK(wcs.size() == 8);
-    return sim.Now();
-  };
-  CostModel cost;
-  sim::TimeNs t_chain = run(true);
-  sim::TimeNs t_single = run(false);
-  EXPECT_EQ(t_single - t_chain,
-            7 * (cost.rdma.doorbell_ns - cost.rdma.postlist_wqe_ns));
-}
-
-TEST_F(QpTest, PostlistIsAllOrNothing) {
-  std::vector<uint8_t> local(8, 0);
-  std::vector<WorkRequest> chain(3);
-  for (auto& wr : chain) {
-    wr.opcode = Opcode::kFetchAdd;
-    wr.local_addr = local.data();
-    wr.remote_addr = 8;
-  }
-  chain[2].remote_addr = 9;  // misaligned atomic target
-  size_t before = client_qp_->outstanding_sends();
-  EXPECT_FALSE(
-      client_qp_->PostSend(std::span<const WorkRequest>(chain)).ok());
-  EXPECT_EQ(client_qp_->outstanding_sends(), before);  // nothing posted
 }
 
 TEST_F(QpTest, PollBatchDrainsInOrderUpToCap) {

@@ -8,32 +8,18 @@ direction) on any metric fails the gate: an intended protocol change must
 refresh BENCH_datapath_protocols.baseline.json; an unintended one is a
 perf or schedule regression.
 
-Zero-valued baselines (e.g. reads_per_record of the ring protocol,
-rnr_events everywhere) are invariants, not measurements: any nonzero
-current value fails regardless of tolerance.
-
-Key-set drift fails in BOTH directions: a benchmark or metric present in
-only one of the two reports (renamed, dropped, or added without a baseline
-refresh) is an error, never silently skipped — a rename would otherwise
-un-gate the metric it renamed.
+The comparison is tools/bench_compare.py's: zero-valued baselines (e.g.
+reads_per_record of the ring protocol, rnr_events everywhere) are
+invariants, and key-set drift fails in both directions, so a rename never
+un-gates the metric it renamed.
 
 Usage: tools/compare_datapath.py BASELINE CURRENT [--tolerance 0.10]
 """
 
 import argparse
-import json
 import sys
 
-
-def load(path):
-    with open(path) as f:
-        report = json.load(f)
-    rows = {}
-    for entry in report.get("benchmarks", []):
-        name = entry["name"]
-        rows[name] = {k: v for k, v in entry.items()
-                      if k != "name" and isinstance(v, (int, float))}
-    return rows
+import bench_compare
 
 
 def main():
@@ -45,36 +31,9 @@ def main():
                              "(default 0.10)")
     args = parser.parse_args()
 
-    base = load(args.baseline)
-    cur = load(args.current)
-
-    failures = []
-    missing = sorted(set(base) - set(cur))
-    unexpected = sorted(set(cur) - set(base))
-    for name in sorted(base):
-        if name not in cur:
-            continue
-        for key in sorted(set(cur[name]) - set(base[name])):
-            failures.append(
-                f"{name}: metric '{key}' not in baseline (refresh "
-                f"BENCH_datapath_protocols.baseline.json)")
-        for key, bval in sorted(base[name].items()):
-            if key not in cur[name]:
-                failures.append(f"{name}: metric '{key}' missing")
-                continue
-            cval = cur[name][key]
-            if bval == 0:
-                ok = cval == 0
-                delta = "" if ok else f" (now {cval})"
-            else:
-                rel = cval / bval - 1.0
-                ok = abs(rel) <= args.tolerance
-                delta = f" ({rel:+.1%})"
-            status = "ok" if ok else "DEVIATED"
-            print(f"{name:28} {key:24} {bval:12.3f} -> {cval:12.3f}"
-                  f"{delta:12} {status}")
-            if not ok:
-                failures.append(f"{name}/{key}: {bval} -> {cval}")
+    failures, missing, unexpected = bench_compare.diff(
+        bench_compare.load(args.baseline), bench_compare.load(args.current),
+        args.tolerance, "BENCH_datapath_protocols.baseline.json")
 
     if missing:
         print(f"error: benchmarks missing from current report: "

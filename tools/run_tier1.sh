@@ -3,9 +3,6 @@
 #
 #   1. Release configure + build of everything (tests and benches).
 #   2. Full ctest suite.
-#   3. Host-perf gate: bench/run_simcore.sh, compared against the committed
-#      BENCH_simcore.baseline.json — fails on a >10% regression
-#      (tools/compare_simcore.py).
 #   3b. Datapath-protocol gate: bench/abl_datapath_protocols (deterministic
 #      virtual-time metrics) vs BENCH_datapath_protocols.baseline.json —
 #      fails on a >10% deviation (tools/compare_datapath.py).
@@ -37,9 +34,18 @@
 #      (tools/check_asan.sh).
 #   5. Optimized UBSan pass over the same plus the obs suite
 #      (tools/check_ubsan.sh).
+#   6. Benchmark self-test: kdbench builds src/ with its own CMake project
+#      and names config fields by designated initializer, so a field
+#      rename or deletion breaks it; python3 kdbench/selftest.py builds it
+#      and checks its determinism on all four workloads.
+#   7. Host-perf gate, last: bench/run_simcore.sh, compared against the
+#      committed BENCH_simcore.baseline.json — fails on a >10% regression
+#      (tools/compare_simcore.py). It measures the host as much as the
+#      code, so it runs after every other gate has reported; the script
+#      still exits non-zero when it fails.
 #
 # Usage: tools/run_tier1.sh [--fast]
-#   --fast  skip the perf gate and sanitizer rebuilds (steps 3-5)
+#   --fast  skip everything after ctest (steps 3-7)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -53,10 +59,6 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 if [[ "$FAST" == 0 ]]; then
-  "$ROOT/bench/run_simcore.sh" "$BUILD_DIR"
-  python3 "$ROOT/tools/compare_simcore.py" \
-    "$ROOT/BENCH_simcore.baseline.json" "$ROOT/BENCH_simcore.json" \
-    --max-regress 0.10
   E2E="$ROOT/BENCH_e2e.json"
   rm -f "$E2E"
   measure() { python3 "$ROOT/tools/measure_e2e.py" "$E2E" "$1" -- \
@@ -85,6 +87,11 @@ if [[ "$FAST" == 0 ]]; then
     "$E2E" --spec peak_rss_mb=0.25
   "$ROOT/tools/check_asan.sh"
   "$ROOT/tools/check_ubsan.sh"
+  python3 "$ROOT/kdbench/selftest.py"
+  "$ROOT/bench/run_simcore.sh" "$BUILD_DIR"
+  python3 "$ROOT/tools/compare_simcore.py" \
+    "$ROOT/BENCH_simcore.baseline.json" "$ROOT/BENCH_simcore.json" \
+    --max-regress 0.10
 fi
 
 echo "tier1: all checks passed"
