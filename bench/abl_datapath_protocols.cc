@@ -8,8 +8,8 @@
 //   5. everything composed  — the upgrades must not fight each other
 // All metrics are virtual-time or event counts, so every run on every
 // host produces identical numbers; the committed
-// BENCH_datapath_protocols.baseline.json is gated by
-// tools/compare_datapath.py in tools/run_tier1.sh.
+// BENCH_datapath_protocols.baseline.json is gated by equality by
+// tools/bench_compare.py in tools/run_tier1.sh.
 //
 // Flags: --json=<path> writes the rows as JSON.
 #include <fstream>

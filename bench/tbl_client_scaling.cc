@@ -18,7 +18,7 @@
 //
 // Flags: --json=<path> writes the rows as JSON (the committed
 // BENCH_client_scaling.baseline.json was produced this way and is gated
-// by tools/compare_client_scaling.py in tier-1).
+// by tools/bench_compare.py in tier-1).
 #include <chrono>
 #include <cstring>
 #include <fstream>

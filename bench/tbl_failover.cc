@@ -8,9 +8,10 @@
 // endpoint must still deliver its full sequence exactly once, in order.
 //
 // All reported metrics are virtual-time deterministic: the run is gated
-// against BENCH_failover.baseline.json by tools/compare_failover.py in
-// tier-1 (key-set drift fails both directions; `lost` and `dup` are
-// zero-baseline invariants).
+// by equality against BENCH_failover.baseline.json by
+// tools/bench_compare.py in tier-1 (key-set drift fails both directions;
+// lost == dup == 0, delivered == produced and broker_deaths >= 1 are
+// checked on every run).
 //
 // Flags: --json=<path> writes the gated report; --slo_json=<path> dumps
 // the per-tenant (tenant = endpoint + 1) delivery-delay SLO report from

@@ -123,10 +123,10 @@ class Simulator {
   /// RunUntil(Now() + duration).
   void RunFor(TimeNs duration) { RunUntil(now_ + duration); }
 
-  /// Processes events until `done()` returns true (checked after each
-  /// event), the queue drains, or `deadline` passes. The standard driver
-  /// for workloads with background activity (replica fetchers, pollers)
-  /// that never lets the event queue drain on its own.
+  /// Processes events until `done()` returns true (checked before each
+  /// event, the first included), the queue drains, or `deadline` passes.
+  /// The standard driver for workloads with background activity (replica
+  /// fetchers, pollers) that never lets the event queue drain on its own.
   void RunUntilDone(const std::function<bool()>& done, TimeNs deadline);
 
   /// Makes Run()/RunUntil() return after the current event completes.

@@ -1,136 +1,195 @@
-"""Shared machinery for the deterministic-bench JSON gates.
+#!/usr/bin/env python3
+"""Gate a bench report against its committed baseline.
 
-tools/compare_client_scaling.py and tools/compare_failover.py both gate a
-virtual-time-deterministic bench report against a committed baseline with
-the same semantics (established by tools/compare_datapath.py):
+Usage: tools/bench_compare.py BASELINE CURRENT
 
-  - numeric metrics must match within a relative tolerance, either
-    direction;
-  - a zero-valued baseline metric is an invariant — any nonzero current
-    value fails regardless of tolerance;
-  - key-set drift fails in BOTH directions: a benchmark or metric present
-    in only one report (renamed, dropped, or added without refreshing the
-    baseline) is an error, never silently skipped;
-  - host-speed-dependent metrics (keys starting with "host_") are excluded
-    from gating.
+BASELINE is a committed BENCH_<bench>.baseline.json, and <bench> selects
+an entry of SPECS. Each entry names three things:
 
-This module holds that machinery once; the per-bench scripts add their own
-invariant checks (memory constancy, exactly-once delivery) on top.
+  - the loader that turns a report into {row: {key: value}};
+  - the host keys, whose values measure the host as much as the code.
+    Keys starting with "host_" are recorded and never compared. A key in
+    `host_bounds` fails only when it grows by more than its relative
+    bound; it may shrink freely;
+  - an invariant, checked on CURRENT alone, so that refreshing the
+    baseline cannot hide a violation.
 
-Run as a script it gates a host-cost report (BENCH_e2e.json, written by
-tools/measure_e2e.py) with a spec instead of a tolerance: each --spec
-METRIC=MAX_GROWTH names one gated metric and fails only when the current
-value exceeds the baseline by more than MAX_GROWTH (relative). Metrics the
-spec does not name are not compared; host_* keys (wall time) are recorded
-but never gated.
+Every other key must equal its baseline value. The benches run in
+virtual time, which is bit-reproducible, so any difference is a schedule
+change: an intended one refreshes the baseline and gives its cause in
+CHANGES.md. A row or key present in only one report fails, in either
+direction, so a rename never drops a metric out of the gate.
 
-Usage: tools/bench_compare.py BASELINE CURRENT --spec peak_rss_mb=0.25
+Exits 0 when the gate passes, 1 when it fails and 2 on a usage error.
 """
 
-import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple, Optional
 
 
-def load(path):
-    """Returns {bench_name: {metric: value}} with host_* keys stripped."""
-    with open(path) as f:
-        report = json.load(f)
-    rows = {}
-    for entry in report.get("benchmarks", []):
-        name = entry["name"]
-        rows[name] = {k: v for k, v in entry.items()
-                      if k != "name" and isinstance(v, (int, float))
-                      and not isinstance(v, bool)
-                      and not k.startswith("host_")}
+def benchmark_rows(report):
+    """The "benchmarks" list of a bench's --json report, or of the host-cost
+    report that tools/measure_e2e.py writes."""
+    return {e["name"]: {k: v for k, v in e.items() if k != "name"}
+            for e in report["benchmarks"]}
+
+
+def metrics_dump(report):
+    """A MetricsRegistry --metrics_json dump: one row per instrument, with
+    every field of every gauge and histogram."""
+    rows = {name: {"value": value}
+            for name, value in report["counters"].items()}
+    rows.update(report["gauges"])
+    rows.update(report["histograms"])
     return rows
 
 
-def diff(base, cur, tolerance, baseline_name, spec=None):
-    """Per-metric comparison; returns (failures, missing, unexpected).
+def gbench_times(report):
+    """A google-benchmark report: one row per benchmark, holding its
+    representative real_time. That is the minimum over repetitions, or the
+    median aggregate when the report holds only aggregates
+    (--benchmark_report_aggregates_only); both stay stable on a noisy
+    host."""
+    runs, times = {}, {}
+    for e in report["benchmarks"]:
+        if e.get("run_type") != "aggregate":
+            runs.setdefault(e["run_name"], []).append(e["real_time"])
+        elif e["aggregate_name"] == "median":
+            times[e["run_name"]] = e["real_time"]
+    times.update((name, min(ts)) for name, ts in runs.items())
+    return {name: {"real_time": t} for name, t in times.items()}
 
-    Prints one line per compared metric. `missing`/`unexpected` are
-    benchmark names present in only one report; metric-level drift within
-    a shared benchmark lands in `failures`. A `spec` ({metric: max_growth})
-    replaces `tolerance`: only the named metrics are compared, and each
-    fails only on growth beyond its own bound.
-    """
-    if spec is not None:
-        base = {n: {k: v for k, v in m.items() if k in spec}
-                for n, m in base.items()}
-        cur = {n: {k: v for k, v in m.items() if k in spec}
-               for n, m in cur.items()}
+
+def constant_memory(rows):
+    """§14's scaling claims: broker memory does not grow with the logical
+    client count (mux rows) or with the producer count (SRQ rows)."""
+    groups = (
+        ("client_scaling_mux/* rows",
+         lambda n: n.startswith("client_scaling_mux/"),
+         ("ctrl_recv_buf_bytes", "meta_peak_bytes")),
+        ("client_scaling/*/srq_on rows",
+         lambda n: n.startswith("client_scaling/") and n.endswith("/srq_on"),
+         ("ctrl_recv_buf_bytes",)),
+    )
     failures = []
-    missing = sorted(set(base) - set(cur))
-    unexpected = sorted(set(cur) - set(base))
-    for name in sorted(base):
-        if name not in cur:
-            continue
-        for key in sorted(set(spec or ()) - set(base[name])):
-            failures.append(f"{name}: spec metric '{key}' not in baseline")
-        for key in sorted(set(cur[name]) - set(base[name])):
-            failures.append(
-                f"{name}: metric '{key}' not in baseline (refresh "
-                f"{baseline_name})")
-        for key, bval in sorted(base[name].items()):
-            if key not in cur[name]:
-                failures.append(f"{name}: metric '{key}' missing")
+    for label, member, keys in groups:
+        for key in keys:
+            values = {n: m.get(key) for n, m in rows.items() if member(n)}
+            if len(set(values.values())) > 1:
+                failures.append(f"memory constancy violated: {key} differs "
+                                f"across {label}: {sorted(values.items())}")
+    return failures
+
+
+def exactly_once(rows):
+    """§15's claims: no record lost or delivered twice through the leader
+    kill, and the kill really landed."""
+    failures = []
+    endpoints = {n: m for n, m in rows.items()
+                 if n.startswith("failover/endpoint_")}
+    if not endpoints:
+        failures.append("no failover/endpoint_* rows in the current report")
+    for name, m in sorted(endpoints.items()):
+        for key in ("lost", "dup"):
+            if m.get(key) != 0:
+                failures.append(f"exactly-once violated: {name} reports "
+                                f"{key}={m.get(key)}")
+        if m.get("delivered") != m.get("produced"):
+            failures.append(f"delivery gap: {name} produced "
+                            f"{m.get('produced')} but delivered "
+                            f"{m.get('delivered')}")
+    if rows.get("failover/cluster", {}).get("broker_deaths", 0) < 1:
+        failures.append("failover/cluster reports no broker death: the kill "
+                        "never landed, so the run measured nothing")
+    return failures
+
+
+class Spec(NamedTuple):
+    load: Callable
+    host_bounds: Optional[dict] = None
+    invariant: Optional[Callable] = None
+
+
+SPECS = {
+    "datapath_protocols": Spec(benchmark_rows),
+    "client_scaling": Spec(benchmark_rows, invariant=constant_memory),
+    "failover": Spec(benchmark_rows, invariant=exactly_once),
+    "slo": Spec(metrics_dump),
+    "e2e": Spec(benchmark_rows, host_bounds={"peak_rss_mb": 0.25}),
+    "simcore": Spec(gbench_times, host_bounds={"real_time": 0.10}),
+}
+
+
+def compare(spec, base, cur):
+    """Returns (failures, keys equal to baseline, keys within host bounds).
+
+    Prints one line per host-bounded key."""
+    bounds = spec.host_bounds or {}
+    failures = [f"row missing from current report: {n}"
+                for n in sorted(base.keys() - cur.keys())]
+    failures += [f"row not in baseline (refresh it): {n}"
+                 for n in sorted(cur.keys() - base.keys())]
+    equal = bounded = 0
+    for name in sorted(base.keys() & cur.keys()):
+        b, c = base[name], cur[name]
+        for key in sorted(b.keys() | c.keys()):
+            if key.startswith("host_"):
                 continue
-            cval = cur[name][key]
-            if bval == 0:
-                ok = cval == 0
-                delta = "" if ok else f" (now {cval})"
+            if key not in c:
+                failures.append(f"{name}: key '{key}' missing from current "
+                                f"report")
+            elif key not in b:
+                failures.append(f"{name}: key '{key}' not in baseline "
+                                f"(refresh it)")
+            elif key in bounds:
+                ok = c[key] <= b[key] * (1 + bounds[key])
+                print(f"{name:56} {key:12} {b[key]:12.1f} -> "
+                      f"{c[key]:12.1f} {c[key] / b[key] - 1:+7.1%}"
+                      f"{'' if ok else '  REGRESSED'}")
+                if ok:
+                    bounded += 1
+                else:
+                    failures.append(f"{name}/{key}: {b[key]} -> {c[key]}, "
+                                    f"above +{bounds[key]:.0%}")
+            elif c[key] != b[key]:
+                failures.append(f"{name}/{key}: {b[key]} -> {c[key]}")
             else:
-                rel = cval / bval - 1.0
-                ok = abs(rel) <= tolerance if spec is None else \
-                    rel <= spec[key]
-                delta = f" ({rel:+.1%})"
-            status = "ok" if ok else "DEVIATED"
-            print(f"{name:32} {key:22} {bval:14.3f} -> {cval:14.3f}"
-                  f"{delta:12} {status}")
-            if not ok:
-                failures.append(f"{name}/{key}: {bval} -> {cval}")
-    return failures, missing, unexpected
+                equal += 1
+    if spec.invariant:
+        failures += spec.invariant(cur)
+    return failures, equal, bounded
 
 
-def spec_item(text):
-    """"peak_rss_mb=0.25" -> ("peak_rss_mb", 0.25); argparse type."""
-    metric, _, bound = text.partition("=")
-    try:
-        return metric, float(bound)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad spec '{text}' (want METRIC=MAX_GROWTH)") from None
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    baseline, current = argv
+    bench = os.path.basename(baseline)
+    bench = bench.removeprefix("BENCH_").removesuffix(".baseline.json")
+    if bench not in SPECS:
+        print(f"error: no spec for {os.path.basename(baseline)} (want "
+              f"BENCH_<bench>.baseline.json, <bench> one of "
+              f"{', '.join(SPECS)})", file=sys.stderr)
+        return 2
+    spec = SPECS[bench]
+    with open(baseline) as f:
+        base = spec.load(json.load(f))
+    with open(current) as f:
+        cur = spec.load(json.load(f))
 
-
-def main():
-    parser = argparse.ArgumentParser(
-        description="Gate a bench report against its baseline by spec.")
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--spec", action="append", required=True,
-                        type=spec_item, metavar="METRIC=MAX_GROWTH",
-                        help="gate METRIC on relative growth above "
-                             "MAX_GROWTH (repeatable)")
-    args = parser.parse_args()
-    spec = dict(args.spec)
-
-    failures, missing, unexpected = diff(
-        load(args.baseline), load(args.current), None,
-        os.path.basename(args.baseline), spec)
-    for name in missing:
-        failures.append(f"benchmark missing from current report: {name}")
-    for name in unexpected:
-        failures.append(f"benchmark not in baseline (refresh it): {name}")
+    failures, equal, bounded = compare(spec, base, cur)
+    for failure in failures:
+        print(f"error: {bench}: {failure}", file=sys.stderr)
     if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
         return 1
-    bounds = ", ".join(f"{k} +{v:.0%}" for k, v in sorted(spec.items()))
-    print(f"{os.path.basename(args.current)}: within spec ({bounds})")
+    print(f"{bench}: pass, {equal} keys equal to baseline, {bounded} "
+          f"within host bounds"
+          f"{', invariants hold' if spec.invariant else ''}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,7 @@
 # intended change to a figure refreshes its file:
 #   build/bench/<binary> > bench/expected/<binary>.txt
 # tbl_client_scaling has no file: its host-time columns differ from run to
-# run, and tools/compare_client_scaling.py gates its JSON report instead.
+# run, and tools/bench_compare.py gates its JSON report instead.
 #
 # Each binary runs under tools/measure_e2e.py, which records its wall time
 # and peak RSS as row "figures/<binary>" of the host-cost report (gated

@@ -6,8 +6,9 @@ Runs COMMAND, waits for it with os.wait4, and merges one row into REPORT
 
   {"name": NAME, "host_wall_s": <wall seconds>, "peak_rss_mb": <MiB>}
 
-peak_rss_mb is the child's ru_maxrss. host_wall_s depends on the host, so
-tools/bench_compare.py records it but never gates on it. Exits with the
+peak_rss_mb is the child's ru_maxrss; tools/bench_compare.py fails on its
+growth above 25% against BENCH_e2e.baseline.json. host_wall_s depends on
+the host, so the report records it but no gate reads it. Exits with the
 command's own exit status; a failed command records no row.
 
 Usage: tools/measure_e2e.py REPORT NAME -- COMMAND [ARGS...]
