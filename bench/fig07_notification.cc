@@ -16,8 +16,7 @@ using kd::PlanNotification;
 // the WriteWithImm scheme, anything else the Write+Send scheme.
 NotifyPlan PlanFor(uint32_t send_meta_size) {
   return PlanNotification(send_meta_size == 0 ? NotifyMode::kWriteImm
-                                              : NotifyMode::kWriteSend,
-                          /*write_len=*/0);
+                                              : NotifyMode::kWriteSend);
 }
 
 // One produce = the data write (+ the separate metadata Send when

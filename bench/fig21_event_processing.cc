@@ -15,10 +15,6 @@ using harness::SystemKind;
 
 constexpr sim::TimeNs kDuration = Seconds(120);
 
-// CQ poll batch for the ablation below; 1 = per-completion polling (the
-// default path every table row uses).
-int g_poll_batch = 1;
-
 sim::Co<void> Publisher(harness::TestCluster* cluster, SystemKind kind,
                         std::string topic, stream::SensorConfig sensor,
                         bool* done) {
@@ -30,12 +26,10 @@ sim::Co<void> Publisher(harness::TestCluster* cluster, SystemKind kind,
   if (kind == SystemKind::kKdExclusive) {
     rdma0 = std::make_unique<kd::RdmaProducer>(
         cluster->sim(), cluster->fabric(), cluster->tcp(), node,
-        kd::RdmaProducerConfig{.max_inflight = 8,
-                               .poll_batch = g_poll_batch});
+        kd::RdmaProducerConfig{.max_inflight = 8});
     rdma1 = std::make_unique<kd::RdmaProducer>(
         cluster->sim(), cluster->fabric(), cluster->tcp(), node,
-        kd::RdmaProducerConfig{.max_inflight = 8,
-                               .poll_batch = g_poll_batch});
+        kd::RdmaProducerConfig{.max_inflight = 8});
     kd::KafkaDirectBroker* l0 = cluster->Leader(tp0);
     kd::KafkaDirectBroker* l1 = cluster->Leader(tp1);
     KD_CHECK_OK(co_await rdma0->Connect(l0, tp0));
@@ -167,14 +161,12 @@ sim::Co<void> Engine(harness::TestCluster* cluster, SystemKind kind,
   }
 }
 
-double RunConfig(SystemKind kind, stream::PublishPattern pattern, int rf,
-                 uint64_t* events_out = nullptr) {
+double RunConfig(SystemKind kind, stream::PublishPattern pattern, int rf) {
   harness::DeploymentConfig deploy;
   deploy.num_brokers = rf;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_consume = true;
   deploy.broker.rdma_replicate = kind == SystemKind::kKdExclusive && rf > 1;
-  deploy.broker.cq_poll_batch = g_poll_batch;
   harness::TestCluster cluster(deploy);
   static int topic_id = 0;
   std::string topic = "iot-" + std::to_string(topic_id++);
@@ -193,37 +185,7 @@ double RunConfig(SystemKind kind, stream::PublishPattern pattern, int rf,
   cluster.sim().RunFor(Seconds(2));  // drain the tail
   stop = true;
   cluster.sim().RunFor(Millis(50));
-  if (events_out != nullptr) *events_out = cluster.sim().events_processed();
   return engine.delays().Median() / 1e6;  // ms
-}
-
-// CQ poll-batch ablation: the same KafkaDirect burst workload with
-// per-completion polling vs batch-16 draining (broker poller + producer
-// ack loop). Batching collapses each backlog drain into one wakeup, so
-// the run needs fewer simulator events for identical virtual-time work.
-void RunPollBatchAblation() {
-  uint64_t ev_single = 0, ev_batch = 0;
-  g_poll_batch = 1;
-  double ms_single =
-      RunConfig(SystemKind::kKdExclusive,
-                stream::PublishPattern::kPeriodicBurst, 1, &ev_single);
-  g_poll_batch = 16;
-  double ms_batch =
-      RunConfig(SystemKind::kKdExclusive,
-                stream::PublishPattern::kPeriodicBurst, 1, &ev_batch);
-  g_poll_batch = 1;
-  double fewer = 100.0 * (1.0 - static_cast<double>(ev_batch) /
-                                    static_cast<double>(ev_single));
-  std::printf(
-      "\nPoll-batch ablation (KafkaDirect, burst, no repl):\n"
-      "  cq_poll_batch=1 : %llu simulator events (%.3f ms median delay)\n"
-      "  cq_poll_batch=16: %llu simulator events (%.3f ms median delay)\n"
-      "  batching saved %lld events (%.3f%%) for the same virtual-time "
-      "result\n",
-      static_cast<unsigned long long>(ev_single), ms_single,
-      static_cast<unsigned long long>(ev_batch), ms_batch,
-      static_cast<long long>(ev_single) - static_cast<long long>(ev_batch),
-      fewer);
 }
 
 void Run() {
@@ -250,7 +212,6 @@ void Run() {
   std::printf(
       "\nPaper: KafkaDirect lowest delays in all four settings (~3.3x mean\n"
       "reduction), with the advantage largest under replication and bursts.\n");
-  RunPollBatchAblation();
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 //  - the 64-bit shared-produce atomic word of Fig. 5 ({order, offset});
 //  - the small RDMA Send control messages (produce acks, replication
 //    credits, HWM updates) that ride on already-established QPs;
-//  - the shared produce-notification policy (WriteWithImm vs Write+Send,
-//    static or size-adaptive) used by both the producer and the fig07
-//    microbench so the paper figure and the ablation share one code path.
+//  - the shared produce-notification policy (WriteWithImm vs Write+Send)
+//    used by both the producer and the fig07 microbench so the paper
+//    figure and the ablation share one code path.
 #pragma once
 
 #include <cstdint>
@@ -16,40 +16,23 @@
 namespace kafkadirect {
 namespace kd {
 
-// --- produce-notification policy (Fig. 7 / DESIGN.md §12) ---
+// --- produce-notification policy (Fig. 7 / DESIGN.md §5) ---
 
 /// How the broker learns that a one-sided produce Write landed.
 enum class NotifyMode : uint8_t {
   kWriteImm = 0,   // WriteWithImm: one WR, imm carries {order, file_id}
   kWriteSend = 1,  // unsignaled Write + separate Send with a CtrlMsg
-  kAdaptive = 2,   // per-message: kWriteImm below the crossover, else
-                   // kWriteSend (large writes amortize the extra Send and
-                   // gain the richer 24-byte metadata channel)
 };
 
-/// The WRs a given (mode, write length) pair produces. `data_signaled`
-/// refers to the baseline every-WR-signaled discipline; selective
-/// signaling further thins it (rdma_producer.cc).
+/// The WRs a given notification mode produces.
 struct NotifyPlan {
   rdma::Opcode data_opcode = rdma::Opcode::kWriteWithImm;
   bool separate_send = false;  // Write+Send: data WR unsignaled, the Send
                                // carries the notification (and the signal)
 };
 
-/// kAdaptive's switch point: writes of at least this many bytes notify
-/// with Write+Send.
-constexpr uint64_t kNotifyCrossoverBytes = 4096;
-
-inline NotifyPlan PlanNotification(NotifyMode mode, uint64_t write_len) {
-  bool use_imm;
-  switch (mode) {
-    case NotifyMode::kWriteImm: use_imm = true; break;
-    case NotifyMode::kWriteSend: use_imm = false; break;
-    case NotifyMode::kAdaptive:
-      use_imm = write_len < kNotifyCrossoverBytes;
-      break;
-    default: use_imm = true; break;
-  }
+inline NotifyPlan PlanNotification(NotifyMode mode) {
+  const bool use_imm = mode != NotifyMode::kWriteSend;
   NotifyPlan plan;
   plan.data_opcode =
       use_imm ? rdma::Opcode::kWriteWithImm : rdma::Opcode::kWrite;

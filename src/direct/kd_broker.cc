@@ -56,7 +56,7 @@ Status KafkaDirectBroker::Start() {
   if (config_.use_srq) {
     // One shared receive pool for every ctrl-message QP: broker recv
     // memory is sized once here, independent of how many clients connect.
-    srq_ = rnic_.CreateSrq(config_.srq_depth);
+    srq_ = rnic_.CreateSrq();
     srq_arena_.resize(static_cast<size_t>(srq_->max_wr()) * kCtrlMsgSize);
     for (int i = 0; i < srq_->max_wr(); i++) {
       KD_CHECK_OK(srq_->PostRecv(

@@ -372,7 +372,7 @@ class KafkaDirectBroker : public kafka::Broker {
   // --- ring-buffer consume protocol (DESIGN.md §12) ---
   sim::Co<void> HandleRingConsumeAccess(Request req);
   /// Per-grant pusher: streams committed bytes into the consumer ring with
-  /// unsignaled Writes and publishes the tail every ring_tail_interval_bytes
+  /// unsignaled Writes and publishes the tail every kRingTailIntervalBytes
   /// (plus whenever the pusher goes idle with unpublished bytes).
   sim::Co<void> RingPushLoop(RingConsumeGrant* grant);
   /// Inline 8-byte tail-pointer Write; counts as one notification.

@@ -9,6 +9,11 @@ namespace kd {
 using kafka::ErrorCode;
 using kafka::PartitionState;
 
+/// §12 ring consume: publish the ring tail after this many pushed bytes
+/// (and whenever the pusher goes idle, so the consumer never waits on a
+/// partial interval).
+constexpr uint64_t kRingTailIntervalBytes = 16 * 1024;
+
 // ---------------------------------------------------------------------------
 // ConsumerSession / metadata slots
 // ---------------------------------------------------------------------------
@@ -248,8 +253,7 @@ sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
     SendResponse(req.conn, Encode(resp));
     co_return;
   }
-  if (!ps->is_leader || !config_.rdma_consume ||
-      !config_.rdma_ring_consume) {
+  if (!ps->is_leader || !config_.rdma_consume) {
     resp.error = !ps->is_leader ? ErrorCode::kNotLeader
                                 : ErrorCode::kRdmaAccessDenied;
     SendResponse(req.conn, Encode(resp));
@@ -324,9 +328,6 @@ sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
 
 sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
   PartitionState* ps = g->ps;
-  const uint64_t tail_every = config_.ring_tail_interval_bytes > 0
-                                  ? config_.ring_tail_interval_bytes
-                                  : 16 * 1024;
   uint64_t since_tail = 0;
   while (!g->closed) {
     auto qp_it = rdma_qps_.find(g->qp_num);
@@ -366,7 +367,7 @@ sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
       flight_->Record(flight_shard_, sim_.Now(),
                       obs::FlightEventType::kRingPush, g->grant_ref,
                       static_cast<uint32_t>(chunk), g->pushed);
-      if (since_tail >= tail_every) {
+      if (since_tail >= kRingTailIntervalBytes) {
         PublishRingTail(g, qp.get());
         since_tail = 0;
       }

@@ -33,7 +33,7 @@ struct RdmaConsumerConfig {
   /// committed bytes into a consumer-registered ring MR and periodically
   /// publishes a tail pointer; the consumer drains locally and write-backs
   /// its consumed count one-sidedly. No RDMA Reads, no per-batch
-  /// notifications. Requires broker rdma_consume + rdma_ring_consume.
+  /// notifications. Requires broker rdma_consume.
   bool ring_consume = false;
   /// Ring data buffer size in bytes.
   uint64_t ring_capacity = 1 << 20;

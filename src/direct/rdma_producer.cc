@@ -55,14 +55,6 @@ sim::Co<Status> RdmaProducer::ConnectImpl(KafkaDirectBroker* leader,
   send_cq_ = rnic_.CreateCq();
   recv_cq_ = rnic_.CreateCq();
   qp_ = rnic_.CreateQp(send_cq_, recv_cq_);
-  if (config_.signal_interval > 1) {
-    // Selective signaling: unsignaled SQ slots are reclaimed lazily, so
-    // the interval must guarantee a signaled WR inside a full SQ. Write+
-    // Send posts two WRs per produce, hence the /4 clamp.
-    int cap = std::max(1, fabric_.cost().rdma.max_send_wr / 4);
-    signal_every_ = std::min(config_.signal_interval, cap);
-    qp_->set_selective_signaling(true);
-  }
   auto broker_qp = co_await leader->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
@@ -255,16 +247,9 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
   wr.length = static_cast<uint32_t>(pending->batch.size());
   wr.remote_addr = self->file_addr_ + pos;
   wr.rkey = self->file_rkey_;
-  // Shared notification policy (control.h): the configured mode (static
-  // or size-adaptive) decides per message. Selective signaling thins the
-  // signal to every `signal_every_`th notification WR — acks arrive via
-  // the broker's ctrl Sends, so the producer never depends on its own
-  // data CQEs.
-  NotifyPlan plan =
-      PlanNotification(self->config_.notify_mode, pending->batch.size());
-  bool signal_this =
-      self->signal_every_ <= 1 ||
-      (++self->notify_seq_ % static_cast<uint64_t>(self->signal_every_)) == 0;
+  // Shared notification policy (control.h); the notification WR is
+  // always signaled.
+  NotifyPlan plan = PlanNotification(self->config_.notify_mode);
   rdma::WorkRequest notify_wr;
   if (plan.separate_send) {
     // Write+Send: the data write carries no notification; a small Send
@@ -280,13 +265,13 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
     msg.EncodeTo(pending->notify.data());
     notify_wr.wr_id = self->next_wr_id_++;
     notify_wr.opcode = rdma::Opcode::kSend;
-    notify_wr.signaled = signal_this;
+    notify_wr.signaled = true;
     notify_wr.local_addr = pending->notify.data();
     notify_wr.length = kCtrlMsgSize;
     self->notify_send_->Increment();
   } else {
     wr.opcode = rdma::Opcode::kWriteWithImm;
-    wr.signaled = signal_this;
+    wr.signaled = true;
     wr.imm_data = EncodeImm(order, self->file_id_);
     self->notify_imm_->Increment();
   }
@@ -368,47 +353,39 @@ void RdmaProducer::HandleAck(const rdma::WorkCompletion& wc) {
 
 sim::Co<void> RdmaProducer::RecvAckLoop(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  rdma::WorkCompletion wc;
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(&wc, 1);
     if (!*alive || n == 0) co_return;
-    for (size_t i = 0; i < n; i++) {
-      const rdma::WorkCompletion& wc = wcs[i];
-      if (!wc.ok()) {
-        FailAllPending();
-        co_return;
-      }
-      if (wc.opcode != rdma::Opcode::kRecv) continue;
-      co_await sim::Delay(sim_, fabric_.cost().cpu.poll_iteration_ns);
-      if (!*alive) co_return;
-      HandleAck(wc);
+    if (!wc.ok()) {
+      FailAllPending();
+      co_return;
     }
+    if (wc.opcode != rdma::Opcode::kRecv) continue;
+    co_await sim::Delay(sim_, fabric_.cost().cpu.poll_iteration_ns);
+    if (!*alive) co_return;
+    HandleAck(wc);
   }
 }
 
 sim::Co<void> RdmaProducer::SendCqDrainer(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  rdma::WorkCompletion wc;
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(&wc, 1);
     if (!*alive || n == 0) co_return;
-    for (size_t i = 0; i < n; i++) {
-      const rdma::WorkCompletion& wc = wcs[i];
-      if (wc.opcode == rdma::Opcode::kFetchAdd) {
-        auto it = faa_waiters_.find(wc.wr_id);
-        if (it != faa_waiters_.end()) {
-          if (!wc.ok()) faa_failed_ = true;
-          it->second->Set();
-        }
-        continue;
+    if (wc.opcode == rdma::Opcode::kFetchAdd) {
+      auto it = faa_waiters_.find(wc.wr_id);
+      if (it != faa_waiters_.end()) {
+        if (!wc.ok()) faa_failed_ = true;
+        it->second->Set();
       }
-      if (!wc.ok()) {
-        // A write failed (revoked access / disconnect): the RecvAckLoop
-        // error path performs the full teardown.
-        errors_++;
-      }
+      continue;
+    }
+    if (!wc.ok()) {
+      // A write failed (revoked access / disconnect): the RecvAckLoop
+      // error path performs the full teardown.
+      errors_++;
     }
   }
 }

@@ -29,22 +29,10 @@ struct RdmaProducerConfig {
   bool exclusive = true;
   int max_inflight = 1;
   uint64_t producer_id = 0;
-  /// Max completions drained per CQ wakeup in the ack/send-CQ loops.
-  /// 1 (default) polls one CQE per wakeup and is schedule-identical to the
-  /// pre-batching behaviour; >1 amortizes the wakeup over a batch.
-  int poll_batch = 1;
-  /// --- Datapath-protocol upgrades (DESIGN.md §12). Default off / 1:
-  /// schedule- and byte-identical to the paper figures. ---
-  /// Selective signaling: only every Nth produce notification WR is posted
-  /// signaled; the QP reclaims unsignaled SQ slots lazily on the next CQE
-  /// (FAA claims stay signaled — their result is awaited). Clamped to
-  /// max_send_wr/4 so a signaled WR always exists within a full SQ.
-  int signal_interval = 1;
   /// §4.2.2 "the choice of notification method" (control.h
   /// PlanNotification). kWriteImm is the paper's pick (lowest latency);
   /// kWriteSend is a plain RDMA Write followed by a Send carrying the
-  /// metadata (supports >32 bits of metadata); kAdaptive picks WriteWithImm
-  /// below kNotifyCrossoverBytes and Write+Send at or above it.
+  /// metadata (supports >32 bits of metadata).
   NotifyMode notify_mode = NotifyMode::kWriteImm;
 };
 
@@ -167,12 +155,8 @@ class RdmaProducer {
   uint64_t rotations_ = 0;
   uint64_t faa_issued_ = 0;
   uint32_t broker_qp_num_ = 0;
-  /// Selective signaling: effective interval (config clamped at Connect)
-  /// and the running count of notification WRs used to pick the Nth.
-  int signal_every_ = 1;
-  uint64_t notify_seq_ = 0;
   /// Notification-mix counters (kd.direct.notify.*): how often each
-  /// notification shape was chosen, so the adaptive policy is observable.
+  /// notification shape was posted.
   obs::Counter* notify_imm_ = nullptr;
   obs::Counter* notify_send_ = nullptr;
   bool closed_ = false;

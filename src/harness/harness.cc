@@ -228,7 +228,6 @@ sim::Co<void> OneProducer(TestCluster* cluster, SystemKind kind,
               .exclusive = kind == SystemKind::kKdExclusive,
               .max_inflight = options.max_inflight,
               .producer_id = tenant,
-              .signal_interval = options.signal_interval,
               .notify_mode = options.notify_mode});
       kd::KafkaDirectBroker* leader = cluster->Leader(tp);
       KD_CHECK_OK(co_await rdma_producer->Connect(leader, tp));

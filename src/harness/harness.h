@@ -131,10 +131,8 @@ struct ProduceOptions {
   int max_inflight = 1;       // 1 = latency mode (sync round trips)
   int16_t acks = -1;
   int replication_factor = 1;
-  /// Datapath-protocol knobs for the RDMA producers (DESIGN.md §12);
-  /// defaults reproduce the paper's schedule exactly. Ignored by the
-  /// TCP/OSU systems.
-  int signal_interval = 1;
+  /// Notification method of the RDMA producers (§4.2.2); the default is
+  /// the paper's. Ignored by the TCP/OSU systems.
   kd::NotifyMode notify_mode = kd::NotifyMode::kWriteImm;
 };
 
@@ -167,8 +165,8 @@ struct ConsumeOptions {
   /// "broker replies with one record for each fetch request").
   int records_per_poll = 1;
   /// Ring-buffer consume protocol (DESIGN.md §12) for the RDMA consumer;
-  /// requires the deployment to enable broker.rdma_ring_consume. Ignored
-  /// by the TCP/OSU systems.
+  /// requires the deployment to enable broker.rdma_consume. Ignored by
+  /// the TCP/OSU systems.
   bool ring_consume = false;
 };
 

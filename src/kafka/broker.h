@@ -75,24 +75,13 @@ struct BrokerConfig {
   /// of per-QP receive pools; broker recv-buffer memory becomes O(pool)
   /// instead of O(clients).
   bool use_srq = false;
-  /// SRQ capacity in WRs; <= 0 takes the cost model's max_srq_wr.
-  int srq_depth = 0;
   /// Max completions drained per poller wakeup (1 = per-CQE polling).
   int cq_poll_batch = 1;
 
-  // --- Next-generation datapath protocols (DESIGN.md §12). All default
-  // off so the baseline event schedule and golden traces are unchanged. ---
-
-  /// Ring-buffer Write consume: instead of consumers issuing one-sided
-  /// Reads paced by metadata-slot polling, the broker pushes committed
-  /// bytes into a consumer-registered ring MR and publishes a tail pointer
-  /// every `ring_tail_interval_bytes` — notification and reclamation are
-  /// amortized over many records. Requires rdma_consume.
-  bool rdma_ring_consume = false;
-  /// Publish the ring tail after this many pushed bytes (always published
-  /// when the pusher goes idle so the consumer never waits on a partial
-  /// interval). <= 0 takes 16 KiB.
-  uint64_t ring_tail_interval_bytes = 0;
+  // --- Next-generation datapath protocols (DESIGN.md §12). Default off
+  // so the baseline event schedule and golden traces are unchanged; ring
+  // consume needs no broker flag: with rdma_consume on, the broker serves
+  // any consumer that asks for a ring (RdmaConsumerConfig::ring_consume). ---
 
   /// Receiver-paced replication credits: the follower grants credits from
   /// its own commit (drain) rate instead of 1-per-write, and caps credits

@@ -50,20 +50,6 @@ struct RdmaModel {
   /// Writing a CQE + the poller picking it up (busy polling).
   sim::TimeNs completion_ns = 150;
 
-  /// Extra cost charged only when a CQE is actually generated (signaled or
-  /// errored WR). Historically folded into `completion_ns`; split out so the
-  /// datapath-protocol ablation (DESIGN.md §12) can model the saving from
-  /// selective signaling. 0 by default: with every WR signaled the paper
-  /// figures are reproduced bit-identically.
-  sim::TimeNs cqe_ns = 0;
-
-  /// Extra responder-side cost per receive-completion notification (the
-  /// consumed recv + CQE handling that a two-sided notification costs the
-  /// target). 0 by default for the same bit-identity reason; the datapath
-  /// ablation sets it nonzero to surface the ring-consume win in virtual
-  /// time as well as in counters.
-  sim::TimeNs notification_ns = 0;
-
   /// Responder-side serialization of one atomic op on one counter:
   /// 373 ns => 2.68 M ops/s, the paper's measured ceiling.
   sim::TimeNs atomic_unit_ns = 373;

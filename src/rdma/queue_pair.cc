@@ -321,7 +321,6 @@ void QueuePair::CompleteInitiator(const WorkRequest& wr, WcStatus status,
                                   sim::TimeNs when, uint32_t byte_len) {
   auto self = shared_from_this();
   const bool cqe = wr.signaled || status != WcStatus::kSuccess;
-  if (cqe) when += cost_.rdma.cqe_ns;
   sim_.ScheduleAt(when, [self, wr, status, byte_len, cqe]() {
     if (!self->lazy_sq_reclaim_) {
       // Historical behaviour: every completion frees its SQ slot as soon
@@ -357,7 +356,7 @@ void QueuePair::CompleteInitiator(const WorkRequest& wr, WcStatus status,
 
 void QueuePair::CompleteRecv(const WorkCompletion& wc, sim::TimeNs when) {
   auto self = shared_from_this();
-  sim_.ScheduleAt(when + cost_.rdma.notification_ns, [self, wc]() {
+  sim_.ScheduleAt(when, [self, wc]() {
     self->sig_counters_.cqes->Increment();
     self->recv_cq_->Push(wc);
   });

@@ -74,7 +74,7 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   size_t posted_recvs() const { return recvs_.size(); }
   SharedReceiveQueue* srq() const { return srq_.get(); }
 
-  /// Selective-signaling mode (DESIGN.md §12): when on, an unsignaled WR's
+  /// Selective-signaling mode (DESIGN.md §14): when on, an unsignaled WR's
   /// send-queue slot is NOT reclaimed at completion time — it is freed
   /// lazily when the next CQE-generating (signaled or errored) completion
   /// lands, exactly like a real RNIC where the driver only learns about SQ
@@ -168,9 +168,9 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   };
   OpCounters qp_counters_;
   OpCounters agg_counters_;
-  /// Process-wide datapath-protocol counters (DESIGN.md §12): the
-  /// signaled/posted and CQE/doorbell ratios the ablation bench and the
-  /// obs invariant tests read.
+  /// Process-wide datapath-protocol counters (DESIGN.md §14): the
+  /// signaled/posted and CQE/doorbell ratios kdbench and the monitor's
+  /// rdma.signaled_le_posted watcher read.
   struct SignalCounters {
     obs::Counter* wrs_posted = nullptr;    // every send-queue WR
     obs::Counter* wrs_signaled = nullptr;  // WRs posted with signaled=true

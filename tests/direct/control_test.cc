@@ -57,25 +57,13 @@ TEST(AtomicWordTest, OrderWrapsIndependently) {
   EXPECT_EQ(AtomicOffset(word), 510u);
 }
 
-TEST(PlanNotificationTest, AdaptiveSwitchesAtTheCrossover) {
-  ASSERT_EQ(kNotifyCrossoverBytes, 4096u);
-  NotifyPlan below = PlanNotification(NotifyMode::kAdaptive, 4095);
-  EXPECT_EQ(below.data_opcode, rdma::Opcode::kWriteWithImm);
-  EXPECT_FALSE(below.separate_send);
-  NotifyPlan at = PlanNotification(NotifyMode::kAdaptive, 4096);
-  EXPECT_EQ(at.data_opcode, rdma::Opcode::kWrite);
-  EXPECT_TRUE(at.separate_send);
-}
-
-TEST(PlanNotificationTest, StaticModesIgnoreTheLength) {
-  for (uint64_t len : {0ull, 4095ull, 4096ull, 1ull << 20}) {
-    NotifyPlan imm = PlanNotification(NotifyMode::kWriteImm, len);
-    EXPECT_EQ(imm.data_opcode, rdma::Opcode::kWriteWithImm) << len;
-    EXPECT_FALSE(imm.separate_send) << len;
-    NotifyPlan send = PlanNotification(NotifyMode::kWriteSend, len);
-    EXPECT_EQ(send.data_opcode, rdma::Opcode::kWrite) << len;
-    EXPECT_TRUE(send.separate_send) << len;
-  }
+TEST(PlanNotificationTest, ModeSelectsTheWrShape) {
+  NotifyPlan imm = PlanNotification(NotifyMode::kWriteImm);
+  EXPECT_EQ(imm.data_opcode, rdma::Opcode::kWriteWithImm);
+  EXPECT_FALSE(imm.separate_send);
+  NotifyPlan send = PlanNotification(NotifyMode::kWriteSend);
+  EXPECT_EQ(send.data_opcode, rdma::Opcode::kWrite);
+  EXPECT_TRUE(send.separate_send);
 }
 
 TEST(CtrlMsgTest, RoundTripAllKinds) {

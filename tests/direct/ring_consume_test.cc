@@ -1,8 +1,8 @@
 // Ring-buffer consume protocol (DESIGN.md §12): the broker pushes
 // committed bytes into a consumer-registered ring and publishes a tail
-// pointer every ring_tail_interval_bytes; the consumer drains locally and
-// writes its consumed count back one-sidedly. End-to-end: record fidelity,
-// zero RDMA Reads, amortized notifications, and live tailing.
+// pointer every 16 KiB; the consumer drains locally and writes its consumed
+// count back one-sidedly. End-to-end: record fidelity, zero RDMA Reads,
+// amortized notifications, live tailing, and the broker's rdma_consume gate.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,12 +18,10 @@ using kafka::TopicPartitionId;
 
 class RingConsumeTest : public KdClusterTest {
  protected:
-  void BootRing(uint64_t tail_interval_bytes = 0) {
+  void BootRing(bool rdma_consume = true) {
     kafka::BrokerConfig cfg;
     cfg.rdma_produce = true;
-    cfg.rdma_consume = true;
-    cfg.rdma_ring_consume = true;
-    cfg.ring_tail_interval_bytes = tail_interval_bytes;
+    cfg.rdma_consume = rdma_consume;
     BootWithConfig(cfg, 1, 1, 1);
   }
 
@@ -63,6 +61,38 @@ class RingConsumeTest : public KdClusterTest {
     const obs::Counter* c =
         fabric_->obs().metrics.FindCounter("kd.direct.ring.pushed_bytes");
     return c == nullptr ? 0 : c->value();
+  }
+
+  // Boots a broker with `rdma_consume` as given, preloads a backlog of
+  // `kBacklog` records, and ring-subscribes to it. Returns the subscribe
+  // status; on success also polls until the backlog is drained.
+  static constexpr int kBacklog = 30;
+  Status RingSubscribeToBacklog(bool rdma_consume, int* drained) {
+    BootRing(rdma_consume);
+    TopicPartitionId tp{"t", 0};
+    Preload(tp, kBacklog, 200);
+    RdmaConsumer consumer(sim_, *fabric_, *tcpnet_, client_node_,
+                          RdmaConsumerConfig{.ring_consume = true,
+                                             .ring_capacity = 64 * kKiB});
+    Status subscribed;
+    bool done = false;
+    auto run = [](KdClusterTest* t, RdmaConsumer* consumer,
+                  TopicPartitionId tp, Status* subscribed, int* drained,
+                  bool* done) -> sim::Co<void> {
+      KD_CHECK((co_await consumer->Connect(t->Leader(tp))).ok());
+      *subscribed = co_await consumer->Subscribe(tp, 0);
+      while (subscribed->ok() && *drained < kBacklog) {
+        auto records = co_await consumer->Poll(tp);
+        KD_CHECK(records.ok()) << records.status().ToString();
+        *drained += static_cast<int>(records.value().size());
+      }
+      *done = true;
+    };
+    sim::Spawn(sim_, run(this, &consumer, tp, &subscribed, drained, &done));
+    RunToFlag(&done);
+    // Give a wrongly started pusher time to move the backlog.
+    sim_.RunFor(Millis(10));
+    return subscribed;
   }
 };
 
@@ -153,6 +183,31 @@ TEST_F(RingConsumeTest, TailsLiveProductionAfterDrainingBacklog) {
   RunToFlag(&done);
   EXPECT_EQ(drained, 80);
   EXPECT_EQ(consumer.rdma_reads_issued(), 0u);
+}
+
+// The broker serves a ring subscribe exactly when rdma_consume is on; the
+// consumer's ring_consume is the only ring switch.
+TEST_F(RingConsumeTest, RingSubscribeRefusedWithoutRdmaConsume) {
+  int drained = 0;
+  Status st = RingSubscribeToBacklog(/*rdma_consume=*/false, &drained);
+  EXPECT_EQ(st.code(), StatusCode::kPermissionDenied) << st.ToString();
+  EXPECT_NE(st.message().find(
+                kafka::ErrorCodeName(kafka::ErrorCode::kRdmaAccessDenied)),
+            std::string::npos)
+      << st.ToString();
+  // No RingPushLoop ran: not one backlog byte was pushed.
+  EXPECT_EQ(drained, 0);
+  EXPECT_EQ(RingPushedBytes(), 0u);
+}
+
+TEST_F(RingConsumeTest, RdmaConsumeAloneServesRingSubscribe) {
+  int drained = 0;
+  Status st = RingSubscribeToBacklog(/*rdma_consume=*/true, &drained);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(drained, kBacklog);
+  TopicPartitionId tp{"t", 0};
+  EXPECT_EQ(RingPushedBytes(),
+            Leader(tp)->GetPartition(tp)->log.head().size());
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ TEST(ObsInvariantsTest, SrqAccountingAndZeroCopyHoldWithSrqEnabled) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.use_srq = true;
-  deploy.broker.srq_depth = 256;
   deploy.broker.cq_poll_batch = 8;
   TestCluster cluster(deploy);
   ProduceOptions options;
@@ -153,54 +152,9 @@ TEST(ObsInvariantsTest, AckedProduceImpliesHwmAtLogEnd) {
   EXPECT_GT(wait->count(), 0u);
 }
 
-// --- Datapath-protocol upgrades (DESIGN.md §12): the byte-conservation
-// invariants must hold under every protocol combination, and the new
-// signaling/notification counters must agree with the knob settings. ---
-
-struct SignalingCounters {
-  uint64_t posted, signaled, cqes, produced, zero_copy, copied;
-};
-
-SignalingCounters RunSignaling(int signal_interval) {
-  DeploymentConfig deploy;
-  deploy.broker.rdma_produce = true;
-  TestCluster cluster(deploy);
-  ProduceOptions options;
-  options.records_per_producer = 200;
-  options.record_size = 512;
-  options.max_inflight = 8;
-  options.signal_interval = signal_interval;
-  auto result =
-      RunProduceWorkload(cluster, SystemKind::kKdExclusive, options);
-  KD_CHECK(result.records == 200 && result.errors == 0);
-  return SignalingCounters{
-      CounterValue(cluster, "kd.rdma.wrs_posted"),
-      CounterValue(cluster, "kd.rdma.wrs_signaled"),
-      CounterValue(cluster, "kd.rdma.cqes"),
-      CounterValue(cluster, "kd.broker.0.produce.bytes"),
-      CounterValue(cluster, "kd.direct.rdma_produce.zero_copy_bytes"),
-      CounterValue(cluster, "kd.broker.0.produce.copied_bytes")};
-}
-
-TEST(ObsInvariantsTest, SelectiveSignalingCutsCqesNotBytes) {
-  SignalingCounters every = RunSignaling(1);
-  SignalingCounters eighth = RunSignaling(8);
-
-  // Identical workload, identical datapath: the same WRs are posted and
-  // the same bytes land zero-copy — only the CQE stream thins out.
-  EXPECT_EQ(every.posted, eighth.posted);
-  EXPECT_EQ(every.produced, eighth.produced);
-  EXPECT_EQ(every.zero_copy, eighth.zero_copy);
-  EXPECT_EQ(eighth.zero_copy, eighth.produced);
-  EXPECT_EQ(eighth.copied, 0u);
-
-  // Signaled WRs (and with them CQEs) drop by roughly the interval; the
-  // broker's notification receives still complete, so compare deltas.
-  EXPECT_LE(eighth.signaled, eighth.posted);
-  EXPECT_LT(eighth.signaled * 4, every.signaled);
-  EXPECT_LT(eighth.cqes, every.cqes);
-  EXPECT_EQ(every.signaled - eighth.signaled, every.cqes - eighth.cqes);
-}
+// --- Datapath protocols (§4.2.2 notification, DESIGN.md §12 upgrades):
+// the byte-conservation invariants must hold under every protocol
+// combination, and the notification counters must agree with the knob. ---
 
 uint64_t NotifyCounts(SystemKind kind, kd::NotifyMode mode,
                       size_t record_size, uint64_t* write_imm,
@@ -226,19 +180,14 @@ uint64_t NotifyCounts(SystemKind kind, kd::NotifyMode mode,
 
 TEST(ObsInvariantsTest, NotificationModeCountersMatchTheKnob) {
   uint64_t imm = 0, send = 0;
-  // Forced Write+Send: every record notifies via the separate Send.
+  // WriteWithImm (the paper's pick): the immediate carries every notice.
   uint64_t n = NotifyCounts(SystemKind::kKdExclusive,
-                            kd::NotifyMode::kWriteSend, 256, &imm, &send);
-  EXPECT_EQ(send, n);
-  EXPECT_EQ(imm, 0u);
-  // Adaptive, small records (wire size < crossover): all WriteWithImm.
-  n = NotifyCounts(SystemKind::kKdExclusive, kd::NotifyMode::kAdaptive, 256,
-                   &imm, &send);
+                            kd::NotifyMode::kWriteImm, 256, &imm, &send);
   EXPECT_EQ(imm, n);
   EXPECT_EQ(send, 0u);
-  // Adaptive, large records (wire size > crossover): all Write+Send.
-  n = NotifyCounts(SystemKind::kKdExclusive, kd::NotifyMode::kAdaptive,
-                   8192, &imm, &send);
+  // Write+Send: every record notifies via the separate Send.
+  n = NotifyCounts(SystemKind::kKdExclusive, kd::NotifyMode::kWriteSend, 256,
+                   &imm, &send);
   EXPECT_EQ(send, n);
   EXPECT_EQ(imm, 0u);
 }
@@ -247,7 +196,6 @@ TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = true;
   TestCluster cluster(deploy);
   ConsumeOptions options;
   options.preload_records = 80;
@@ -266,36 +214,36 @@ TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {
 }
 
 TEST(ObsInvariantsTest, AllProtocolUpgradesComposeCleanly) {
-  // Everything on at once: selective signaling + adaptive notification on
-  // the producer, receiver-paced credits on the replication path.
+  // Both upgrades in one rf=2 deployment: receiver-paced credits on the
+  // push-replication path feeding the follower, ring consume draining the
+  // leader.
   DeploymentConfig deploy;
   deploy.num_brokers = 2;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_replicate = true;
+  deploy.broker.rdma_consume = true;
   deploy.broker.receiver_paced_credits = true;
   TestCluster cluster(deploy);
-  ProduceOptions options;
-  options.records_per_producer = 150;
-  options.record_size = 1024;
-  options.max_inflight = 8;
+  ConsumeOptions options;
   options.replication_factor = 2;
-  options.signal_interval = 4;
-  options.notify_mode = kd::NotifyMode::kAdaptive;
+  options.preload_records = 150;
+  options.record_size = 1024;
+  options.ring_consume = true;
   auto result =
-      RunProduceWorkload(cluster, SystemKind::kKdExclusive, options);
+      RunConsumeWorkload(cluster, SystemKind::kKdExclusive, options);
   ASSERT_EQ(result.records, 150u);
-  ASSERT_EQ(result.errors, 0u);
 
-  uint64_t produced = CounterValue(cluster, "kd.broker.0.produce.bytes") +
-                      CounterValue(cluster, "kd.broker.1.produce.bytes");
-  uint64_t zero_copy =
-      CounterValue(cluster, "kd.direct.rdma_produce.zero_copy_bytes");
-  EXPECT_EQ(zero_copy, produced);
-  EXPECT_EQ(CounterValue(cluster, "kd.broker.0.produce.copied_bytes") +
-                CounterValue(cluster, "kd.broker.1.produce.copied_bytes"),
-            0u);
-  EXPECT_LT(CounterValue(cluster, "kd.rdma.wrs_signaled"),
-            CounterValue(cluster, "kd.rdma.wrs_posted"));
+  // Every byte the leader appended reached the follower through push
+  // replication, and reached the consumer through the ring exactly once,
+  // without a single RDMA Read.
+  uint64_t leader_bytes = CounterValue(cluster, "kd.broker.0.produce.bytes");
+  EXPECT_GT(leader_bytes, 150u * 1024u);
+  EXPECT_EQ(cluster.Broker(0)->stats().bytes_appended, leader_bytes);
+  EXPECT_EQ(cluster.Broker(1)->stats().bytes_appended, leader_bytes);
+  EXPECT_GT(cluster.Broker(1)->stats().replication_writes, 0u);
+  EXPECT_EQ(CounterValue(cluster, "kd.direct.ring.pushed_bytes"),
+            leader_bytes);
+  EXPECT_EQ(CounterValue(cluster, "kd.rdma.ops.read"), 0u);
   EXPECT_EQ(CounterValue(cluster, "kd.rdma.rnr_events"), 0u);
 }
 

@@ -194,7 +194,6 @@ TEST(RingIngestTest, IngestsOverRingAndSurvivesLeaderKill) {
   deploy.num_brokers = 3;
   deploy.broker.control_plane = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = true;
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("events", 1, 3));
   kafka::TopicPartitionId tp{"events", 0};

@@ -104,14 +104,14 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_key_set_drift_fails_both_ways(self):
         report = committed("datapath_protocols")
-        del report["benchmarks"][0]["cqes_per_record"]
+        del report["benchmarks"][0]["latency_us_p50"]
         self.assertEqual(self.gate("datapath_protocols", report), 1)
         report = committed("datapath_protocols")
         report["benchmarks"][0]["new_metric"] = 0
         self.assertEqual(self.gate("datapath_protocols", report), 1)
         report = committed("datapath_protocols")
         report["benchmarks"].append(dict(report["benchmarks"][0],
-                                         name="signaling/interval_64"))
+                                         name="notify/imm/65536B"))
         self.assertEqual(self.gate("datapath_protocols", report), 1)
         report = committed("datapath_protocols")
         report["benchmarks"].pop()

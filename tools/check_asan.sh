@@ -15,7 +15,7 @@
 # storms — teardown-heavy scenarios where a parked coroutine frame
 # (purgatory waiter, ack reader) would leak if shutdown missed a wakeup.
 # The integration suite rides along: it runs every datapath protocol
-# upgrade (receiver-paced credits, ring consume, selective signaling)
+# upgrade (receiver-paced credits, ring consume)
 # through full deployment teardown, so a background loop that outlives
 # Shutdown() leaks its frame here.
 #

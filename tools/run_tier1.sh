@@ -7,7 +7,9 @@
 #      gates its report against the committed BENCH_<bench>.baseline.json:
 #      every virtual-time key must equal its baseline, a row or key present
 #      in only one report fails, and host_* keys are recorded, not gated.
-#      - datapath_protocols: bench/abl_datapath_protocols (§12);
+#      - datapath_protocols: bench/abl_datapath_protocols (§12: ring
+#        consume and receiver-paced credits against the paper's schemes,
+#        plus WriteWithImm vs Write+Send);
 #      - client_scaling: bench/tbl_client_scaling (16 K -> 1 M logical
 #        clients over multiplexed QPs, §14), plus the memory-constancy
 #        invariants on the current report;
