@@ -48,6 +48,7 @@ sim::Co<void> ExclusiveFailover(harness::TestCluster* cluster, bool* done) {
                 static_cast<long long>(off.value()));
   }
   kafka::PartitionState* ps = leader->GetPartition(tp);
+  KD_CHECK(ps->log.log_end_offset() == 6 && ps->log.high_watermark() == 6);
   std::printf("log end offset %lld, high watermark %lld — no holes\n\n",
               static_cast<long long>(ps->log.log_end_offset()),
               static_cast<long long>(ps->log.high_watermark()));
@@ -121,23 +122,20 @@ sim::Co<void> SharedHoleTimeout(harness::TestCluster* cluster, bool* done) {
   // watchdog aborts the file and revokes access, and the client re-enables
   // the RDMA datapath by requesting access again (§4.2.2).
   auto off = co_await survivor.Produce(Slice("k", 1), Slice("two", 3));
-  if (!off.ok()) {
-    std::printf("survivor produce aborted by revocation (%s); "
-                "reconnecting...\n",
-                off.status().ToString().c_str());
-    kd::RdmaProducer retry(cluster->sim(), cluster->fabric(), cluster->tcp(),
-                           cluster->AddClientNode("survivor-2"),
-                           kd::RdmaProducerConfig{.exclusive = false});
-    KD_CHECK_OK(co_await retry.Connect(leader, tp));
-    off = co_await retry.Produce(Slice("k", 1), Slice("two", 3));
-    KD_CHECK(off.ok()) << off.status().ToString();
-    std::printf("recovered: record committed at offset %lld\n",
-                static_cast<long long>(off.value()));
-  } else {
-    std::printf("record committed at offset %lld\n",
-                static_cast<long long>(off.value()));
-  }
+  KD_CHECK(!off.ok()) << "the ghost's hole did not revoke access";
+  std::printf("survivor produce aborted by revocation (%s); "
+              "reconnecting...\n",
+              off.status().ToString().c_str());
+  kd::RdmaProducer retry(cluster->sim(), cluster->fabric(), cluster->tcp(),
+                         cluster->AddClientNode("survivor-2"),
+                         kd::RdmaProducerConfig{.exclusive = false});
+  KD_CHECK_OK(co_await retry.Connect(leader, tp));
+  off = co_await retry.Produce(Slice("k", 1), Slice("two", 3));
+  KD_CHECK(off.ok()) << off.status().ToString();
+  std::printf("recovered: record committed at offset %lld\n",
+              static_cast<long long>(off.value()));
   kafka::PartitionState* ps = leader->GetPartition(tp);
+  KD_CHECK(ps->log.log_end_offset() == 2);
   std::printf("after recovery: log end offset %lld (committed records "
               "only; the ghost's hole was discarded)\n",
               static_cast<long long>(ps->log.log_end_offset()));
@@ -149,7 +147,6 @@ sim::Co<void> SharedHoleTimeout(harness::TestCluster* cluster, bool* done) {
 int main() {
   harness::DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
-  deploy.broker.shared_produce_hole_timeout = Millis(2);
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("orders", 1, 1));
   KD_CHECK_OK(cluster.CreateTopic("shared", 1, 1));

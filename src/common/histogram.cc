@@ -1,7 +1,6 @@
 #include "common/histogram.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace kafkadirect {
 
@@ -21,15 +20,6 @@ int64_t Histogram::Percentile(double p) const {
       std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
   if (rank == 0) rank = 1;
   return samples_[rank - 1];
-}
-
-std::string Histogram::SummaryUs() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%zu min=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
-                count(), Min() / 1e3, Median() / 1e3, Percentile(99) / 1e3,
-                Max() / 1e3);
-  return buf;
 }
 
 }  // namespace kafkadirect

@@ -4,99 +4,54 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/random.h"
 
 namespace kafkadirect {
 
 /// Collects int64 samples (typically nanoseconds) and reports order
-/// statistics. Not thread-safe; the simulator is single-threaded.
-///
-/// Two modes:
-///  - exact (default): every sample is kept; percentiles are exact.
-///  - bounded reservoir: EnableReservoir(cap, seed) caps memory at `cap`
-///    samples, replaced uniformly at random (Algorithm R) so long-running
-///    benches cannot grow without bound. count/Min/Max/Mean stay exact in
-///    both modes (tracked as running values); percentiles are estimated
-///    from the reservoir.
+/// statistics. Every sample is kept, so percentiles are exact; Min, Max
+/// and Mean are running values. Not thread-safe; the simulator is
+/// single-threaded.
 class Histogram {
  public:
   void Add(int64_t v) {
-    if (total_ == 0 || v < min_) min_ = v;
-    if (total_ == 0 || v > max_) max_ = v;
+    if (samples_.empty() || v < min_) min_ = v;
+    if (samples_.empty() || v > max_) max_ = v;
     sum_ += static_cast<long double>(v);
-    total_++;
-    if (cap_ == 0 || samples_.size() < cap_) {
-      samples_.push_back(v);
-      sorted_ = false;
-      return;
-    }
-    // Algorithm R: the new sample displaces a uniformly chosen reservoir
-    // slot with probability cap/total. (samples_ may have been sorted in
-    // place, but a uniform index into a permutation is still a uniform
-    // element.)
-    uint64_t j = rng_.Uniform(total_);
-    if (j < cap_) {
-      samples_[static_cast<size_t>(j)] = v;
-      sorted_ = false;
-    }
+    samples_.push_back(v);
+    sorted_ = false;
   }
 
-  /// Switches to bounded-reservoir mode. Call before adding samples;
-  /// `cap` must be > 0 and the seed makes runs reproducible.
-  void EnableReservoir(size_t cap, uint64_t seed) {
-    cap_ = cap;
-    rng_ = Random(seed);
-    if (samples_.size() > cap_) {
-      samples_.resize(cap_);
-      sorted_ = false;
-    }
-  }
+  size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
 
-  size_t reservoir_cap() const { return cap_; }
-
-  /// Total number of Add() calls (exact in both modes).
-  size_t count() const { return static_cast<size_t>(total_); }
-  bool empty() const { return total_ == 0; }
-
-  int64_t Min() const { return total_ == 0 ? 0 : min_; }
-  int64_t Max() const { return total_ == 0 ? 0 : max_; }
+  int64_t Min() const { return empty() ? 0 : min_; }
+  int64_t Max() const { return empty() ? 0 : max_; }
   double Mean() const {
-    return total_ == 0
-               ? 0.0
-               : static_cast<double>(sum_ / static_cast<long double>(total_));
+    return empty() ? 0.0
+                   : static_cast<double>(
+                         sum_ / static_cast<long double>(samples_.size()));
   }
-  /// p in [0, 100]; nearest-rank percentile over the stored samples
-  /// (exact mode: all of them). Returns 0 on empty.
+  /// p in [0, 100]; nearest-rank percentile. Returns 0 on empty.
   int64_t Percentile(double p) const;
   int64_t Median() const { return Percentile(50.0); }
 
   void Clear() {
     samples_.clear();
     sorted_ = false;
-    total_ = 0;
     min_ = 0;
     max_ = 0;
     sum_ = 0;
   }
 
-  /// One-line summary "count=.. min=.. p50=.. p99=.. max=.." in microseconds
-  /// (input assumed nanoseconds).
-  std::string SummaryUs() const;
-
   /// Stored samples (unsorted order unspecified); used to merge histograms.
   const std::vector<int64_t>& samples() const { return samples_; }
-  /// Combines running stats and appends the other's stored samples. The
-  /// reservoir cap is not re-applied to merged samples; benches merge
-  /// exact histograms.
+  /// Combines running stats and appends the other's samples.
   void Merge(const Histogram& other) {
-    if (other.total_ == 0) return;
-    if (total_ == 0 || other.min_ < min_) min_ = other.min_;
-    if (total_ == 0 || other.max_ > max_) max_ = other.max_;
+    if (other.empty()) return;
+    if (empty() || other.min_ < min_) min_ = other.min_;
+    if (empty() || other.max_ > max_) max_ = other.max_;
     sum_ += other.sum_;
-    total_ += other.total_;
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
     sorted_ = false;
@@ -107,9 +62,6 @@ class Histogram {
 
   mutable std::vector<int64_t> samples_;
   mutable bool sorted_ = false;
-  size_t cap_ = 0;  // 0 = exact mode
-  Random rng_{0};
-  uint64_t total_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
   long double sum_ = 0;

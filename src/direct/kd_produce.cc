@@ -12,6 +12,10 @@ using kafka::ErrorCode;
 using kafka::PartitionState;
 using kafka::RecordBatchView;
 
+/// §4.2.2 shared produce: how long request i waits for request i-1 before
+/// the broker aborts the file and revokes access.
+constexpr sim::TimeNs kSharedProduceHoleTimeout = Millis(5);
+
 // ---------------------------------------------------------------------------
 // RDMA produce module (§4.2.2)
 // ---------------------------------------------------------------------------
@@ -66,7 +70,7 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
       while (!fs->aborted &&
              (fs->next_commit_pos < target || !fs->pending.empty())) {
         (void)co_await fs->commit_event->WaitFor(
-            config_.shared_produce_hole_timeout);
+            kSharedProduceHoleTimeout);
         if (fs->next_commit_pos == last_progress) {
           if (++stalls >= 2) {
             AbortFile(fs, ErrorCode::kTimedOut);
@@ -96,7 +100,7 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
                              /*stream=*/0);
     while (!fs->aborted && !OrderCommitted(fs, order)) {
       (void)co_await fs->commit_event->WaitFor(
-          config_.shared_produce_hole_timeout * 4);
+          kSharedProduceHoleTimeout * 4);
     }
     if (fs->aborted && !OrderCommitted(fs, order)) {
       co_return Status::Aborted("shared produce aborted");
@@ -195,7 +199,7 @@ sim::Co<void> KafkaDirectBroker::HandleProduceAccess(Request req) {
     while (!fs->aborted &&
            (fs->next_commit_pos < target || !fs->pending.empty())) {
       (void)co_await fs->commit_event->WaitFor(
-          config_.shared_produce_hole_timeout);
+          kSharedProduceHoleTimeout);
       if (fs->next_commit_pos == last_progress) {
         if (++stalls >= 2) {
           AbortFile(fs, ErrorCode::kTimedOut);
@@ -473,7 +477,7 @@ sim::Co<void> KafkaDirectBroker::AckWhenCommitted(PartitionState* ps,
 
 sim::Co<void> KafkaDirectBroker::HoleWatchdog(RdmaFileState* fs,
                                               uint16_t expected) {
-  co_await sim::Delay(sim_, config_.shared_produce_hole_timeout);
+  co_await sim::Delay(sim_, kSharedProduceHoleTimeout);
   fs->hole_watch_armed = false;
   if (fs->aborted) co_return;
   if (fs->pending.empty()) co_return;

@@ -251,10 +251,6 @@ sim::Co<void> Broker::ApiWorkerLoop(int worker_index) {
       case MsgType::kControllerHeartbeatRequest:
       case MsgType::kLeaderAndIsrRequest:
       case MsgType::kLogInfoRequest:
-      case MsgType::kJoinGroupRequest:
-      case MsgType::kSyncGroupRequest:
-      case MsgType::kGroupHeartbeatRequest:
-      case MsgType::kLeaveGroupRequest:
         tracer_->Begin(wt, "api.control_plane");
         co_await HandleControlPlaneRequest(std::move(*req));
         tracer_->End(wt);
@@ -565,16 +561,16 @@ sim::Co<void> Broker::StoreCommittedOffset(PartitionState* ps,
                                            const CommitOffsetRequest& creq) {
   ps->committed_offsets[creq.group] = creq.offset;
   if (!config_.control_plane) co_return;
-  // Cluster-wide per-(group, partition) gauge; Set() only, so a rebalanced
-  // consumer committing below a previous generation trips the
-  // group.offsets_monotonic_across_generations watcher.
+  // Cluster-wide per-(group, partition) gauge; Set() only, so a consumer
+  // that resumes below an earlier commit (say, after a leader move) trips
+  // the group.offsets_monotonic_across_generations watcher.
   fabric_.obs()
       .metrics.GetGauge("kd.group." + creq.group + "." + creq.tp.ToString() +
                         ".committed.offset")
       ->Set(creq.offset);
   // Leaders forward the commit to every ISR follower before acking, so the
-  // offset survives a leader kill and a rebalanced consumer can resume
-  // exactly-once from the surviving replica.
+  // offset survives a leader kill and a consumer can resume exactly-once
+  // from the surviving replica.
   if (ps->is_leader && cp_ != nullptr) {
     std::vector<uint8_t> frame = Encode(creq);
     // Snapshot: ApplyLeaderAndIsr may reassign ps->isr while PeerRpc is
@@ -702,24 +698,6 @@ sim::Co<void> Broker::HandleControlPlaneRequest(Request req) {
       SendResponse(req.conn,
                    Encode(LogInfoResponse{ErrorCode::kInvalidRequest, -1,
                                           -1}));
-      break;
-    case MsgType::kJoinGroupRequest:
-      SendResponse(req.conn,
-                   Encode(JoinGroupResponse{ErrorCode::kNotController, 0}));
-      break;
-    case MsgType::kSyncGroupRequest: {
-      SyncGroupResponse resp;
-      resp.error = ErrorCode::kNotController;
-      SendResponse(req.conn, Encode(resp));
-      break;
-    }
-    case MsgType::kGroupHeartbeatRequest:
-      SendResponse(req.conn, Encode(GroupHeartbeatResponse{
-                                 ErrorCode::kNotController}));
-      break;
-    case MsgType::kLeaveGroupRequest:
-      SendResponse(req.conn,
-                   Encode(LeaveGroupResponse{ErrorCode::kNotController}));
       break;
     default:
       break;

@@ -89,10 +89,6 @@ struct BrokerConfig {
   /// the leader without RNR storms, and credit messages are batched.
   bool receiver_paced_credits = false;
 
-  // Shared RDMA produce: how long request i waits for request i-1 before
-  // the broker aborts and revokes access (§4.2.2).
-  sim::TimeNs shared_produce_hole_timeout = 5 * 1000 * 1000;  // 5 ms
-
   // --- Million-client connection architecture (DESIGN.md §14). All
   // default off so the paper figures stay bit-identical. ---
 
@@ -132,12 +128,11 @@ struct BrokerConfig {
   // --- Cluster control plane (DESIGN.md §15). All default off so the
   // paper figures and golden traces stay byte-identical. ---
 
-  /// Run the controller/coordinator protocol: sim-clock term/heartbeat
-  /// controller election, broker-death detection, ISR-elected partition
-  /// leader failover, ISR shrink/expand under lag, and the consumer-group
-  /// coordinator (join/sync/heartbeat/rebalance generations). Its timings
-  /// are constants in controller.cc and group.cc; leaders always replicate
-  /// TCP offset commits through the ISR before acking.
+  /// Run the controller protocol: sim-clock term/heartbeat controller
+  /// election, broker-death detection, ISR-elected partition leader
+  /// failover and ISR shrink/expand under lag. Its timings are constants
+  /// in controller.cc; leaders always replicate TCP offset commits through
+  /// the ISR before acking.
   bool control_plane = false;
 };
 
@@ -440,7 +435,6 @@ class Broker {
   /// StartControlPlane() ran.
   std::unique_ptr<ControlPlane> cp_;
   friend class ControlPlane;
-  friend class GroupCoordinator;
 };
 
 }  // namespace kafka

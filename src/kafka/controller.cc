@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "kafka/group.h"
 #include "sim/awaitable.h"
 
 namespace kafkadirect {
@@ -60,10 +59,7 @@ ControlPlane::ControlPlane(Broker& broker, std::vector<ControlPlanePeer> peers)
   term_gauge_ = ob.metrics.GetGauge(prefix + "cp.term");
   is_controller_gauge_ = ob.metrics.GetGauge(prefix + "cp.is_controller");
   alive_gauge_ = ob.metrics.GetGauge(prefix + "alive");
-  groups_ = std::make_unique<GroupCoordinator>(broker_, *this);
 }
-
-ControlPlane::~ControlPlane() = default;
 
 void ControlPlane::Start() {
   if (running_) return;
@@ -83,7 +79,6 @@ void ControlPlane::Start() {
     a.replicas = ps->replicas;
     assignment_[tp] = std::move(a);
   }
-  groups_->Start();
   sim::Spawn(sim_, WatchdogLoop());
   sim::Spawn(sim_, HeartbeatLoop());
   sim::Spawn(sim_, IsrLoop());
@@ -95,7 +90,6 @@ void ControlPlane::Stop() {
   is_controller_ = false;
   alive_gauge_->Set(0);
   is_controller_gauge_->Set(0);
-  groups_->Stop();
   for (Peer& p : peers_) {
     if (p.conn != nullptr) {
       p.conn->Close();
@@ -200,9 +194,6 @@ void ControlPlane::BecomeController() {
   elections_->Increment();
   term_gauge_->Set(term_);
   is_controller_gauge_->Set(1);
-  // Fresh coordinator: members rejoin here (they re-resolve on
-  // kNotController / connection errors).
-  groups_->Reset();
 }
 
 void ControlPlane::StepDown(int64_t new_term, int32_t new_controller) {
@@ -211,7 +202,6 @@ void ControlPlane::StepDown(int64_t new_term, int32_t new_controller) {
   if (is_controller_) {
     is_controller_ = false;
     is_controller_gauge_->Set(0);
-    groups_->Reset();
   }
   term_gauge_->Set(term_);
   // The watchdog skipped while we were controller, so last_heartbeat_ns_ is
@@ -418,18 +408,6 @@ sim::Co<void> ControlPlane::Handle(Broker::Request req) {
       break;
     case MsgType::kLogInfoRequest:
       co_await HandleLogInfo(std::move(req));
-      break;
-    case MsgType::kJoinGroupRequest:
-      co_await groups_->HandleJoin(std::move(req));
-      break;
-    case MsgType::kSyncGroupRequest:
-      co_await groups_->HandleSync(std::move(req));
-      break;
-    case MsgType::kGroupHeartbeatRequest:
-      co_await groups_->HandleHeartbeat(std::move(req));
-      break;
-    case MsgType::kLeaveGroupRequest:
-      co_await groups_->HandleLeave(std::move(req));
       break;
     default:
       break;

@@ -19,9 +19,6 @@
 //     report changes to the controller, which rebroadcasts.
 //   - Every broker mirrors the full assignment map (RecordAssignment), so
 //     whichever broker wins the next election can fail partitions over.
-//
-// The consumer-group coordinator (group.h) rides on the elected
-// controller; its join/sync/heartbeat RPCs are routed through Handle().
 #pragma once
 
 #include <map>
@@ -32,8 +29,6 @@
 
 namespace kafkadirect {
 namespace kafka {
-
-class GroupCoordinator;
 
 /// Controller-side record of one partition's leadership state.
 struct PartitionAssignment {
@@ -47,7 +42,6 @@ struct PartitionAssignment {
 class ControlPlane {
  public:
   ControlPlane(Broker& broker, std::vector<ControlPlanePeer> peers);
-  ~ControlPlane();
 
   /// Spawns the watchdog, heartbeat and ISR-management loops.
   void Start();
@@ -83,8 +77,6 @@ class ControlPlane {
   /// Liveness as seen from this node's controller state (everyone is alive
   /// until this node's controller term declares otherwise).
   bool IsAlive(int32_t broker_id) const;
-
-  GroupCoordinator& groups() { return *groups_; }
 
  private:
   struct Peer {
@@ -127,7 +119,6 @@ class ControlPlane {
   sim::TimeNs last_heartbeat_ns_ = 0;
 
   std::map<TopicPartitionId, PartitionAssignment> assignment_;
-  std::unique_ptr<GroupCoordinator> groups_;
 
   // kd.cp.* cluster-wide counters + per-broker term/controller gauges.
   obs::Counter* elections_ = nullptr;

@@ -61,10 +61,6 @@ const char* ErrorCodeName(ErrorCode code) {
     case ErrorCode::kInvalidRequest: return "InvalidRequest";
     case ErrorCode::kTimedOut: return "TimedOut";
     case ErrorCode::kResourceExhausted: return "ResourceExhausted";
-    case ErrorCode::kNotController: return "NotController";
-    case ErrorCode::kRebalanceInProgress: return "RebalanceInProgress";
-    case ErrorCode::kUnknownMember: return "UnknownMember";
-    case ErrorCode::kIllegalGeneration: return "IllegalGeneration";
     case ErrorCode::kFencedLeaderEpoch: return "FencedLeaderEpoch";
   }
   return "?";
@@ -675,140 +671,6 @@ Status Decode(Slice frame, LogInfoResponse* m) {
   KD_RETURN_IF_ERROR(GetError(&r, &m->error));
   KD_RETURN_IF_ERROR(r.GetI64(&m->log_end_offset));
   KD_RETURN_IF_ERROR(r.GetI64(&m->high_watermark));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const JoinGroupRequest& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kJoinGroupRequest);
-  w.PutString(m.group);
-  w.PutString(m.member);
-  w.PutString(m.topic);
-  return w.Release();
-}
-
-Status Decode(Slice frame, JoinGroupRequest* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kJoinGroupRequest));
-  KD_RETURN_IF_ERROR(r.GetString(&m->group));
-  KD_RETURN_IF_ERROR(r.GetString(&m->member));
-  KD_RETURN_IF_ERROR(r.GetString(&m->topic));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const JoinGroupResponse& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kJoinGroupResponse);
-  w.PutU16(static_cast<uint16_t>(m.error));
-  w.PutI64(m.generation);
-  return w.Release();
-}
-
-Status Decode(Slice frame, JoinGroupResponse* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kJoinGroupResponse));
-  KD_RETURN_IF_ERROR(GetError(&r, &m->error));
-  KD_RETURN_IF_ERROR(r.GetI64(&m->generation));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const SyncGroupRequest& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kSyncGroupRequest);
-  w.PutString(m.group);
-  w.PutString(m.member);
-  w.PutI64(m.generation);
-  return w.Release();
-}
-
-Status Decode(Slice frame, SyncGroupRequest* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kSyncGroupRequest));
-  KD_RETURN_IF_ERROR(r.GetString(&m->group));
-  KD_RETURN_IF_ERROR(r.GetString(&m->member));
-  KD_RETURN_IF_ERROR(r.GetI64(&m->generation));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const SyncGroupResponse& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kSyncGroupResponse);
-  w.PutU16(static_cast<uint16_t>(m.error));
-  w.PutI64(m.generation);
-  w.PutString(m.topic);
-  PutI32Vec(&w, m.partitions);
-  return w.Release();
-}
-
-Status Decode(Slice frame, SyncGroupResponse* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kSyncGroupResponse));
-  KD_RETURN_IF_ERROR(GetError(&r, &m->error));
-  KD_RETURN_IF_ERROR(r.GetI64(&m->generation));
-  KD_RETURN_IF_ERROR(r.GetString(&m->topic));
-  KD_RETURN_IF_ERROR(GetI32Vec(&r, &m->partitions));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const GroupHeartbeatRequest& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kGroupHeartbeatRequest);
-  w.PutString(m.group);
-  w.PutString(m.member);
-  w.PutI64(m.generation);
-  return w.Release();
-}
-
-Status Decode(Slice frame, GroupHeartbeatRequest* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kGroupHeartbeatRequest));
-  KD_RETURN_IF_ERROR(r.GetString(&m->group));
-  KD_RETURN_IF_ERROR(r.GetString(&m->member));
-  KD_RETURN_IF_ERROR(r.GetI64(&m->generation));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const GroupHeartbeatResponse& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kGroupHeartbeatResponse);
-  w.PutU16(static_cast<uint16_t>(m.error));
-  return w.Release();
-}
-
-Status Decode(Slice frame, GroupHeartbeatResponse* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kGroupHeartbeatResponse));
-  KD_RETURN_IF_ERROR(GetError(&r, &m->error));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const LeaveGroupRequest& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kLeaveGroupRequest);
-  w.PutString(m.group);
-  w.PutString(m.member);
-  return w.Release();
-}
-
-Status Decode(Slice frame, LeaveGroupRequest* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kLeaveGroupRequest));
-  KD_RETURN_IF_ERROR(r.GetString(&m->group));
-  KD_RETURN_IF_ERROR(r.GetString(&m->member));
-  return Status::OK();
-}
-
-std::vector<uint8_t> Encode(const LeaveGroupResponse& m) {
-  BinaryWriter w;
-  PutHeader(&w, MsgType::kLeaveGroupResponse);
-  w.PutU16(static_cast<uint16_t>(m.error));
-  return w.Release();
-}
-
-Status Decode(Slice frame, LeaveGroupResponse* m) {
-  BinaryReader r(frame);
-  KD_RETURN_IF_ERROR(GetHeader(&r, MsgType::kLeaveGroupResponse));
-  KD_RETURN_IF_ERROR(GetError(&r, &m->error));
   return Status::OK();
 }
 

@@ -50,14 +50,6 @@ enum class MsgType : uint16_t {
   kLeaderAndIsrResponse,
   kLogInfoRequest,
   kLogInfoResponse,
-  kJoinGroupRequest,
-  kJoinGroupResponse,
-  kSyncGroupRequest,
-  kSyncGroupResponse,
-  kGroupHeartbeatRequest,
-  kGroupHeartbeatResponse,
-  kLeaveGroupRequest,
-  kLeaveGroupResponse,
 };
 
 enum class ErrorCode : int16_t {
@@ -72,11 +64,7 @@ enum class ErrorCode : int16_t {
   kTimedOut,
   kResourceExhausted,  // admission control: retry after a backoff (§14)
   // --- cluster control plane (DESIGN.md §15) ---
-  kNotController,          // group RPC sent to a non-controller broker
-  kRebalanceInProgress,    // heartbeat during a rebalance: rejoin now
-  kUnknownMember,          // member expired or never joined
-  kIllegalGeneration,      // RPC carries a stale rebalance generation
-  kFencedLeaderEpoch,      // request fenced by a newer partition leader
+  kFencedLeaderEpoch,  // request fenced by a newer partition leader
 };
 
 const char* ErrorCodeName(ErrorCode code);
@@ -323,52 +311,6 @@ struct LogInfoResponse {
   int64_t high_watermark = -1;
 };
 
-/// Consumer-group membership (join/sync/heartbeat/leave). The coordinator
-/// lives on the controller broker; joins park until the rebalance
-/// generation forms, then sync fetches the member's assignment.
-struct JoinGroupRequest {
-  std::string group;
-  std::string member;
-  std::string topic;  // subscription (one topic per group in this model)
-};
-
-struct JoinGroupResponse {
-  ErrorCode error = ErrorCode::kNone;
-  int64_t generation = 0;
-};
-
-struct SyncGroupRequest {
-  std::string group;
-  std::string member;
-  int64_t generation = 0;
-};
-
-struct SyncGroupResponse {
-  ErrorCode error = ErrorCode::kNone;
-  int64_t generation = 0;
-  std::string topic;
-  std::vector<int32_t> partitions;  // this member's assignment
-};
-
-struct GroupHeartbeatRequest {
-  std::string group;
-  std::string member;
-  int64_t generation = 0;
-};
-
-struct GroupHeartbeatResponse {
-  ErrorCode error = ErrorCode::kNone;
-};
-
-struct LeaveGroupRequest {
-  std::string group;
-  std::string member;
-};
-
-struct LeaveGroupResponse {
-  ErrorCode error = ErrorCode::kNone;
-};
-
 /// A frame is MsgType (u16) followed by the message body.
 MsgType PeekType(Slice frame);
 
@@ -401,14 +343,6 @@ std::vector<uint8_t> Encode(const LeaderAndIsrRequest& m);
 std::vector<uint8_t> Encode(const LeaderAndIsrResponse& m);
 std::vector<uint8_t> Encode(const LogInfoRequest& m);
 std::vector<uint8_t> Encode(const LogInfoResponse& m);
-std::vector<uint8_t> Encode(const JoinGroupRequest& m);
-std::vector<uint8_t> Encode(const JoinGroupResponse& m);
-std::vector<uint8_t> Encode(const SyncGroupRequest& m);
-std::vector<uint8_t> Encode(const SyncGroupResponse& m);
-std::vector<uint8_t> Encode(const GroupHeartbeatRequest& m);
-std::vector<uint8_t> Encode(const GroupHeartbeatResponse& m);
-std::vector<uint8_t> Encode(const LeaveGroupRequest& m);
-std::vector<uint8_t> Encode(const LeaveGroupResponse& m);
 
 Status Decode(Slice frame, ProduceRequest* m);
 Status Decode(Slice frame, ProduceResponse* m);
@@ -438,14 +372,6 @@ Status Decode(Slice frame, LeaderAndIsrRequest* m);
 Status Decode(Slice frame, LeaderAndIsrResponse* m);
 Status Decode(Slice frame, LogInfoRequest* m);
 Status Decode(Slice frame, LogInfoResponse* m);
-Status Decode(Slice frame, JoinGroupRequest* m);
-Status Decode(Slice frame, JoinGroupResponse* m);
-Status Decode(Slice frame, SyncGroupRequest* m);
-Status Decode(Slice frame, SyncGroupResponse* m);
-Status Decode(Slice frame, GroupHeartbeatRequest* m);
-Status Decode(Slice frame, GroupHeartbeatResponse* m);
-Status Decode(Slice frame, LeaveGroupRequest* m);
-Status Decode(Slice frame, LeaveGroupResponse* m);
 
 // --- pooled variants for the data-path messages ---
 //

@@ -203,9 +203,9 @@ void InstallStandardWatchers(Monitor& monitor) {
       "group.offsets_monotonic_across_generations",
       [](const MetricsRegistry& m, std::string* detail) {
         // The kd.group.<g>.<tp>.committed.offset gauges are Set() on every
-        // commit, across rebalance generations and leader moves. A value
-        // below its own high-water mark means a post-rebalance consumer
-        // rewound a group's committed offset (duplicate delivery risk).
+        // commit, across consumer restarts and leader moves. A value below
+        // its own high-water mark means a resuming consumer rewound a
+        // group's committed offset (duplicate delivery risk).
         bool ok = true;
         std::ostringstream os;
         m.ForEachGauge([&](const std::string& name, const Gauge& g) {

@@ -105,47 +105,5 @@ Status EventEngine::Ingest(const std::string& json, sim::TimeNs now) {
   return Status::OK();
 }
 
-RingIngest::RingIngest(sim::Simulator& sim, net::Fabric& fabric,
-                       tcpnet::Network& tcp, net::NodeId node,
-                       RingIngestConfig config)
-    : sim_(sim) {
-  kd::RdmaConsumerConfig rc;
-  rc.ring_consume = true;
-  rc.ring_capacity = config.ring_capacity;
-  rc.head_update_bytes = config.head_update_bytes;
-  consumer_ = std::make_unique<kd::RdmaConsumer>(sim, fabric, tcp, node, rc);
-}
-
-RingIngest::~RingIngest() = default;
-
-sim::Co<Status> RingIngest::Start(kd::KafkaDirectBroker* leader,
-                                  const kafka::TopicPartitionId& tp,
-                                  int64_t offset) {
-  tp_ = tp;
-  next_offset_ = offset;
-  Status st = co_await consumer_->Connect(leader);
-  if (!st.ok()) co_return st;
-  co_return co_await consumer_->Subscribe(tp_, offset);
-}
-
-sim::Co<StatusOr<uint64_t>> RingIngest::DrainInto(EventEngine* engine) {
-  auto records = co_await consumer_->Poll(tp_);
-  if (!records.ok()) co_return records.status();
-  uint64_t got = 0;
-  for (const kafka::OwnedRecord& record : records.value()) {
-    Status st = engine->Ingest(record.value, sim_.Now());
-    if (!st.ok()) co_return st;
-    next_offset_ = record.offset + 1;
-    got++;
-  }
-  co_return got;
-}
-
-sim::Co<Status> RingIngest::Failover(kd::KafkaDirectBroker* leader) {
-  co_return co_await consumer_->Resubscribe(leader, tp_, next_offset_);
-}
-
-void RingIngest::Close() { consumer_->Close(); }
-
 }  // namespace stream
 }  // namespace kafkadirect

@@ -6,15 +6,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "direct/rdma_consumer.h"
-#include "kafka/protocol.h"
 #include "sim/task.h"
 
 namespace kafkadirect {
@@ -92,51 +89,6 @@ class EventEngine {
   int64_t processed_ = 0;
   sim::TimeNs bucket_width_ = 10ll * 1000 * 1000 * 1000;  // 10 s
   std::vector<Bucket> timeline_;
-};
-
-struct RingIngestConfig {
-  /// Ring data buffer registered for broker pushes.
-  uint64_t ring_capacity = 1 << 20;
-  /// Consumed-count write-back granularity.
-  uint64_t head_update_bytes = 64 * 1024;
-};
-
-/// Streaming-side handle on the ring-consume datapath (DESIGN.md §12):
-/// wraps an RdmaConsumer configured for broker-pushed ring buffers so
-/// streaming scenarios ingest events over the fastest consume path — no
-/// RDMA Reads, no per-batch notifications — and survive leader moves by
-/// re-granting the ring on the new leader at the next undelivered offset.
-class RingIngest {
- public:
-  RingIngest(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
-             net::NodeId node, RingIngestConfig config = {});
-  ~RingIngest();
-
-  /// Connects to `leader` and registers a push ring for `tp` starting at
-  /// `offset`.
-  sim::Co<Status> Start(kd::KafkaDirectBroker* leader,
-                        const kafka::TopicPartitionId& tp, int64_t offset);
-
-  /// Drains the local ring once, ingesting every complete event into
-  /// `engine` stamped with the current virtual time. Returns the number of
-  /// events ingested; advances the resume offset past each one.
-  sim::Co<StatusOr<uint64_t>> DrainInto(EventEngine* engine);
-
-  /// Re-grants the ring on `leader` after a leader move, resuming from the
-  /// next undelivered offset (exactly-once across the failover).
-  sim::Co<Status> Failover(kd::KafkaDirectBroker* leader);
-
-  /// Offset of the next event this ingester has not yet delivered.
-  int64_t next_offset() const { return next_offset_; }
-  kd::RdmaConsumer& consumer() { return *consumer_; }
-
-  void Close();
-
- private:
-  sim::Simulator& sim_;
-  kafka::TopicPartitionId tp_;
-  int64_t next_offset_ = 0;
-  std::unique_ptr<kd::RdmaConsumer> consumer_;
 };
 
 }  // namespace stream

@@ -60,73 +60,5 @@ TEST(HistogramTest, ClearResets) {
   EXPECT_EQ(h.Median(), 0);
 }
 
-TEST(HistogramReservoirTest, CapsStoredSamples) {
-  Histogram h;
-  h.EnableReservoir(100, /*seed=*/42);
-  for (int64_t v = 1; v <= 10000; v++) h.Add(v);
-  EXPECT_EQ(h.samples().size(), 100u);
-  EXPECT_EQ(h.count(), 10000u);  // count stays exact
-}
-
-TEST(HistogramReservoirTest, RunningStatsStayExact) {
-  Histogram h;
-  h.EnableReservoir(10, /*seed=*/7);
-  for (int64_t v = 1; v <= 1000; v++) h.Add(v);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 1000);
-  EXPECT_DOUBLE_EQ(h.Mean(), 500.5);
-}
-
-TEST(HistogramReservoirTest, PercentilesApproximateUniform) {
-  Histogram h;
-  h.EnableReservoir(500, /*seed=*/99);
-  for (int64_t v = 1; v <= 100000; v++) h.Add(v);
-  // A 500-sample reservoir over U(1, 100000): the median estimate should
-  // land well within ±15% of the true median for this fixed seed.
-  EXPECT_NEAR(static_cast<double>(h.Median()), 50000.0, 15000.0);
-  EXPECT_GT(h.Percentile(90), h.Median());
-}
-
-TEST(HistogramReservoirTest, DeterministicForFixedSeed) {
-  Histogram a;
-  Histogram b;
-  a.EnableReservoir(50, 123);
-  b.EnableReservoir(50, 123);
-  for (int64_t v = 0; v < 5000; v++) {
-    a.Add(v * 3);
-    b.Add(v * 3);
-  }
-  EXPECT_EQ(a.samples(), b.samples());
-  EXPECT_EQ(a.Median(), b.Median());
-}
-
-TEST(HistogramReservoirTest, EnableAfterFillTruncates) {
-  Histogram h;
-  for (int64_t v = 0; v < 200; v++) h.Add(v);
-  h.EnableReservoir(64, 1);
-  EXPECT_EQ(h.samples().size(), 64u);
-  EXPECT_EQ(h.count(), 200u);
-  h.Add(1000);  // replacement path must not grow the reservoir
-  EXPECT_EQ(h.samples().size(), 64u);
-  EXPECT_EQ(h.Max(), 1000);
-}
-
-TEST(HistogramReservoirTest, BelowCapBehavesExactly) {
-  Histogram h;
-  h.EnableReservoir(1000, 5);
-  for (int64_t v : {30, 10, 20}) h.Add(v);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.Median(), 20);
-  EXPECT_EQ(h.samples().size(), 3u);
-}
-
-TEST(HistogramTest, SummaryMentionsCount) {
-  Histogram h;
-  h.Add(1500);  // 1.5 us
-  std::string s = h.SummaryUs();
-  EXPECT_NE(s.find("count=1"), std::string::npos);
-  EXPECT_NE(s.find("1.5us"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace kafkadirect

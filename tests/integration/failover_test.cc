@@ -4,23 +4,20 @@
 //   - The acceptance scenario: a partition leader is killed mid-traffic
 //     with produces in flight. Exactly one new leader emerges from the
 //     ISR, no acknowledged record is lost, nothing is delivered twice,
-//     and the consumer group rebalances and resumes from the replicated
-//     committed offset.
+//     and a committing consumer resumes at the new leader from the
+//     replicated committed offset.
 //   - Zero-copy epoch fencing: a produce grant taken under an old leader
 //     epoch must not commit after leadership moves.
 //   - Consumer re-grant: RdmaConsumer::Resubscribe resumes delivery at
-//     the new leader without loss or duplication.
-//   - Rebalance storm: members joining/leaving every few heartbeats must
-//     converge to a disjoint covering assignment.
+//     the new leader without loss or duplication, over RDMA Reads and
+//     over the broker-pushed ring.
 #include <cstdlib>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "harness/harness.h"
 #include "kafka/consumer.h"
 #include "kafka/controller.h"
-#include "kafka/group.h"
 #include "kafka/producer.h"
 #include "sim/awaitable.h"
 
@@ -134,24 +131,20 @@ struct ConsumerState {
   std::string first_error;
 };
 
-// Group-member consumer: joins "g", polls the partition leader, and
-// commits after every delivered batch BEFORE polling again, so the
-// committed offset always equals the delivered count. On a rebalance (or
-// a broken leader) it re-resolves and resumes from the committed offset —
+// Committing consumer: polls the partition leader and commits for group
+// "g" after every delivered batch BEFORE polling again, so the committed
+// offset always equals the delivered count. When the leader breaks it
+// re-resolves the leader and resumes from the committed offset there —
 // duplicates or gaps show up as an out-of-order sequence key.
-sim::Co<void> GroupConsume(harness::TestCluster* cluster, TopicPartitionId tp,
-                           kafka::GroupMember* member, ConsumerState* state,
-                           const bool* stop) {
+sim::Co<void> CommittingConsume(harness::TestCluster* cluster,
+                                TopicPartitionId tp, ConsumerState* state,
+                                const bool* stop) {
   net::NodeId node = cluster->AddClientNode("consumer");
   std::unique_ptr<kafka::TcpConsumer> consumer;
   net::NodeId connected_to = 0;
   bool need_position = true;
   int64_t pending_commit = -1;  // delivered-up-to not yet committed
   while (!*stop) {
-    if (!member->stable()) {
-      co_await sim::Delay(cluster->sim(), Millis(1));
-      continue;
-    }
     kafka::Broker* leader = cluster->cluster().LeaderOf(tp);
     if (leader == nullptr ||
         !cluster->cluster().IsBrokerAlive(leader->id())) {
@@ -244,23 +237,11 @@ ScenarioDigest RunLeaderKillScenario() {
   sim::Spawn(cluster.sim(), ProduceSequence(&cluster, tp,
                                             &digest.produce_retries,
                                             &produced));
-  kafka::GroupMember::Config mcfg;
-  mcfg.group = "g";
-  mcfg.member = "c0";
-  mcfg.topic = "t";
-  harness::TestCluster* cl = &cluster;
-  kafka::GroupMember member(
-      cluster.sim(), cluster.tcp(), cluster.AddClientNode("member"),
-      [cl]() -> uint64_t {
-        kafka::Broker* c = cl->cluster().ControllerBroker();
-        return c == nullptr ? kafka::GroupMember::kNoCoordinator : c->node();
-      },
-      mcfg);
-  member.Start();
-  sim::Spawn(cluster.sim(), GroupConsume(&cluster, tp, &member,
-                                         &consumer_state, &stop_consumer));
+  sim::Spawn(cluster.sim(), CommittingConsume(&cluster, tp, &consumer_state,
+                                              &stop_consumer));
   // Kill the partition leader (also the controller) mid-traffic: produces
   // are in flight — the sync producer always has a round trip outstanding.
+  harness::TestCluster* cl = &cluster;
   cluster.sim().Schedule(Millis(40),
                          [cl] { cl->cluster().KillBroker(0); });
   cluster.RunToFlag(&produced, Seconds(60));
@@ -275,7 +256,6 @@ ScenarioDigest RunLeaderKillScenario() {
       cluster.engine().Now() + Seconds(60));
   KD_CHECK(drained) << "consumer stalled at " << consumer_state.delivered;
   stop_consumer = true;
-  member.Stop();
   cluster.engine().RunUntil(cluster.engine().Now() + Millis(100));
 
   // Exactly one alive broker leads the partition.
@@ -319,7 +299,7 @@ TEST(FailoverTest, LeaderKillMidTrafficExactlyOnce) {
   EXPECT_GE(digest.produce_retries, 1u);
   // Every acknowledged record delivered exactly once, in sequence order.
   EXPECT_EQ(digest.delivered, static_cast<uint64_t>(kTotalRecords));
-  // The group's committed offset marched with delivery.
+  // The committed offset marched with delivery.
   EXPECT_EQ(digest.final_committed, kTotalRecords);
 }
 
@@ -372,7 +352,8 @@ TEST(FailoverTest, ZeroCopyProduceFencedAfterLeaderMove) {
 }
 
 sim::Co<void> ResubscribeBody(harness::TestCluster* cluster,
-                              TopicPartitionId tp, bool* done) {
+                              TopicPartitionId tp, bool ring_consume,
+                              bool* done) {
   net::NodeId node = cluster->AddClientNode("rdma-consumer");
   // Phase 1: 40 replicated records, all consumed at the original leader.
   kafka::TcpProducer producer(cluster->sim(), cluster->tcp(), node,
@@ -383,8 +364,10 @@ sim::Co<void> ResubscribeBody(harness::TestCluster* cluster,
     auto off = co_await producer.Produce(tp, Slice(key), Slice("v"));
     KD_CHECK(off.ok()) << off.status().ToString();
   }
+  kd::RdmaConsumerConfig ccfg;
+  ccfg.ring_consume = ring_consume;
   kd::RdmaConsumer consumer(cluster->sim(), cluster->fabric(),
-                            cluster->tcp(), node);
+                            cluster->tcp(), node, ccfg);
   KD_CHECK_OK(co_await consumer.Connect(cluster->Leader(tp)));
   KD_CHECK_OK(co_await consumer.Subscribe(tp, 0));
   int64_t next = 0;
@@ -432,79 +415,32 @@ sim::Co<void> ResubscribeBody(harness::TestCluster* cluster,
     }
   }
   producer2.Close();
+  // The ring delivers by broker pushes alone; the read path pulls.
+  KD_CHECK((consumer.rdma_reads_issued() == 0) == ring_consume)
+      << consumer.rdma_reads_issued() << " RDMA Reads, ring_consume="
+      << ring_consume;
   consumer.Close();
   *done = true;
 }
 
+// Both consume modes re-grant: RDMA Reads of the leader's log, and the
+// broker-pushed ring (DESIGN.md §12), which must re-register its ring at
+// the new leader.
 TEST(FailoverTest, RdmaConsumerResubscribesAtNewLeader) {
-  harness::DeploymentConfig deploy;
-  deploy.num_brokers = 3;
-  deploy.broker.control_plane = true;
-  deploy.broker.rdma_consume = true;
-  harness::TestCluster cluster(deploy);
-  KD_CHECK_OK(cluster.CreateTopic("t", 1, 3));
-  TopicPartitionId tp{"t", 0};
-  cluster.sim().RunFor(Millis(30));
-  bool done = false;
-  sim::Spawn(cluster.sim(), ResubscribeBody(&cluster, tp, &done));
-  cluster.RunToFlag(&done, Seconds(60));
-}
-
-TEST(FailoverTest, RebalanceStormConvergesToDisjointCover) {
-  harness::DeploymentConfig deploy;
-  deploy.num_brokers = 1;
-  deploy.broker.control_plane = true;
-  harness::TestCluster cluster(deploy);
-  KD_CHECK_OK(cluster.CreateTopic("t", 8, 1));
-  cluster.sim().RunFor(Millis(30));
-  harness::TestCluster* cl = &cluster;
-  auto resolver = [cl]() -> uint64_t {
-    kafka::Broker* c = cl->cluster().ControllerBroker();
-    return c == nullptr ? kafka::GroupMember::kNoCoordinator : c->node();
-  };
-  net::NodeId node = cluster.AddClientNode("members");
-  int name_counter = 0;
-  auto make_member = [&]() {
-    kafka::GroupMember::Config cfg;
-    cfg.group = "g";
-    cfg.member = "m" + std::to_string(name_counter++);
-    cfg.topic = "t";
-    auto m = std::make_unique<kafka::GroupMember>(cluster.sim(),
-                                                  cluster.tcp(), node,
-                                                  resolver, cfg);
-    m->Start();
-    return m;
-  };
-  std::vector<std::unique_ptr<kafka::GroupMember>> live;
-  std::vector<std::unique_ptr<kafka::GroupMember>> retired;
-  for (int i = 0; i < 4; i++) live.push_back(make_member());
-  // Churn: every few heartbeats one member leaves and a fresh one joins.
-  for (int round = 0; round < 10; round++) {
-    cluster.sim().RunFor(Millis(8));
-    size_t victim = round % live.size();
-    live[victim]->Stop();
-    retired.push_back(std::move(live[victim]));
-    live[victim] = make_member();
+  for (bool ring_consume : {false, true}) {
+    harness::DeploymentConfig deploy;
+    deploy.num_brokers = 3;
+    deploy.broker.control_plane = true;
+    deploy.broker.rdma_consume = true;
+    harness::TestCluster cluster(deploy);
+    KD_CHECK_OK(cluster.CreateTopic("t", 1, 3));
+    TopicPartitionId tp{"t", 0};
+    cluster.sim().RunFor(Millis(30));
+    bool done = false;
+    sim::Spawn(cluster.sim(),
+               ResubscribeBody(&cluster, tp, ring_consume, &done));
+    cluster.RunToFlag(&done, Seconds(60));
   }
-  cluster.sim().RunFor(Millis(400));  // settle
-  std::set<int32_t> owned;
-  int64_t generation = -1;
-  for (const auto& m : live) {
-    ASSERT_TRUE(m->stable());
-    if (generation < 0) generation = m->generation();
-    EXPECT_EQ(m->generation(), generation);
-    for (int32_t p : m->assignment()) {
-      EXPECT_TRUE(owned.insert(p).second) << "partition " << p
-                                          << " assigned twice";
-    }
-  }
-  EXPECT_EQ(owned.size(), 8u);  // full cover, no orphaned partitions
-  uint64_t rebalances =
-      cluster.fabric().obs().metrics.GetCounter("kd.cp.group.rebalances")
-          ->value();
-  EXPECT_GE(rebalances, 10u);
-  for (auto& m : live) m->Stop();
-  cluster.sim().RunFor(Millis(50));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Cluster control plane (DESIGN.md §15): controller election and
 // re-election, broker-death detection, partition-leader failover from the
-// ISR, ISR shrink on follower death, and assignment mirroring.
+// ISR, ISR shrink on follower death, assignment mirroring, and committed
+// offsets surviving a leader kill via ISR replication.
 #include "kafka/controller.h"
 
 #include <gtest/gtest.h>
 
 #include "common/units.h"
 #include "kafka/cluster.h"
+#include "kafka/consumer.h"
 
 namespace kafkadirect {
 namespace kafka {
@@ -163,6 +165,75 @@ TEST_F(ControllerTest, SingleControllerAfterCascadingDeaths) {
   EXPECT_EQ(CountControllers(), 1);
   EXPECT_GE(
       fabric_->obs().metrics.GetCounter("kd.cp.broker_deaths")->value(), 2u);
+}
+
+
+// A consumer group's committed offsets: one topic "t" and a client node to
+// commit from. The group is only the key of the commit; there is no
+// membership.
+class GroupTest : public ControllerTest {
+ public:
+  void Boot(int num_brokers, int partitions, int rf) {
+    ControllerTest::Boot(num_brokers);
+    KD_CHECK_OK(cluster_->CreateTopic("t", partitions, rf));
+    client_node_ = fabric_->AddNode("client");
+    sim_.RunFor(Millis(30));  // let the controller election settle
+  }
+
+  net::NodeId client_node_ = 0;
+};
+
+sim::Co<void> CommitAt(sim::Simulator* sim, tcpnet::Network* tcp,
+                       net::NodeId node, net::NodeId leader,
+                       TopicPartitionId tp, int64_t offset, bool* done) {
+  TcpConsumer committer(*sim, *tcp, node);
+  KD_CHECK_OK(co_await committer.Connect(leader));
+  KD_CHECK_OK(co_await committer.CommitOffset(tp, "g", offset));
+  *done = true;
+}
+
+sim::Co<void> FetchCommitted(sim::Simulator* sim, tcpnet::Network* tcp,
+                             net::NodeId node, net::NodeId leader,
+                             TopicPartitionId tp, int64_t* out, bool* done) {
+  TcpConsumer consumer(*sim, *tcp, node);
+  KD_CHECK_OK(co_await consumer.Connect(leader));
+  auto off = co_await consumer.FetchCommittedOffset(tp, "g");
+  KD_CHECK(off.ok());
+  *out = off.value();
+  *done = true;
+}
+
+TEST_F(GroupTest, CommittedOffsetSurvivesLeaderKill) {
+  Boot(3, 1, 3);
+  TopicPartitionId tp{"t", 0};
+  ASSERT_EQ(cluster_->LeaderOf(tp), cluster_->broker(0));
+  bool committed = false;
+  sim::Spawn(sim_, CommitAt(&sim_, tcpnet_.get(), client_node_,
+                            cluster_->broker(0)->node(), tp, 42,
+                            &committed));
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(committed);
+  // The leader forwarded the commit to every ISR follower.
+  EXPECT_EQ(cluster_->broker(1)->GetPartition(tp)->committed_offsets["g"],
+            42);
+  EXPECT_EQ(cluster_->broker(2)->GetPartition(tp)->committed_offsets["g"],
+            42);
+
+  cluster_->KillBroker(0);
+  sim_.RunFor(Millis(150));
+  Broker* new_leader = cluster_->LeaderOf(tp);
+  ASSERT_NE(new_leader, nullptr);
+  ASSERT_NE(new_leader, cluster_->broker(0));
+  // A consumer asking the NEW leader resumes from the offset committed at
+  // the old one.
+  int64_t resumed = -1;
+  bool fetched = false;
+  sim::Spawn(sim_, FetchCommitted(&sim_, tcpnet_.get(), client_node_,
+                                  new_leader->node(), tp, &resumed,
+                                  &fetched));
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(fetched);
+  EXPECT_EQ(resumed, 42);
 }
 
 }  // namespace

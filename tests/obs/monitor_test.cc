@@ -217,7 +217,7 @@ TEST(StandardWatchersTest, GroupOffsetsMonotonicAcrossGenerations) {
   reg.GetGauge("kd.group.g1.t.0.committed.offset")->Set(100);
   reg.GetGauge("kd.group.g1.t.0.committed.offset")->Set(250);
   EXPECT_EQ(mon.CheckNow(reg, 1), 0);
-  // A rebalanced consumer commits below the previous generation's offset.
+  // A resumed consumer commits below the group's earlier offset.
   reg.GetGauge("kd.group.g1.t.0.committed.offset")->Set(200);
   EXPECT_EQ(mon.CheckNow(reg, 2), 1);
   EXPECT_EQ(mon.violations()[0].watcher,

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
-#include "harness/harness.h"
-#include "kafka/producer.h"
 #include "sim/awaitable.h"
 
 namespace kafkadirect {
@@ -125,96 +123,6 @@ TEST(EventEngineTest, TimelineBucketsDelays) {
     EXPECT_EQ(engine.timeline()[s].count, 10);
     EXPECT_NEAR(engine.timeline()[s].mean_delay_us, (s + 1) * 1000.0, 1.0);
   }
-}
-
-// Produces `n` TrafficEvent JSON records starting at sequence `base`.
-sim::Co<void> ProduceEvents(harness::TestCluster* cluster,
-                            kafka::TopicPartitionId tp, int base, int n,
-                            bool* done) {
-  net::NodeId node = cluster->AddClientNode("sensor");
-  kafka::TcpProducer producer(cluster->sim(), cluster->tcp(), node,
-                              kafka::ProducerConfig{});
-  KD_CHECK_OK(co_await producer.Connect(
-      cluster->cluster().LeaderOf(tp)->node()));
-  for (int i = base; i < base + n; i++) {
-    TrafficEvent event;
-    event.lane = i & 1;
-    event.car_count = i;
-    event.avg_speed_kmh = 50.0 + i;
-    event.generated_at_ns = cluster->sim().Now();
-    std::string json = ToJson(event);
-    auto off = co_await producer.Produce(tp, Slice("k", 1), Slice(json));
-    KD_CHECK(off.ok()) << off.status().ToString();
-  }
-  producer.Close();
-  *done = true;
-}
-
-sim::Co<void> IngestBody(harness::TestCluster* cluster,
-                         kafka::TopicPartitionId tp, EventEngine* engine,
-                         bool* done) {
-  net::NodeId node = cluster->AddClientNode("ingest");
-  RingIngest ingest(cluster->sim(), cluster->fabric(), cluster->tcp(), node,
-                    RingIngestConfig{.ring_capacity = 256 * kKiB,
-                                     .head_update_bytes = 4 * kKiB});
-  KD_CHECK_OK(co_await ingest.Start(cluster->Leader(tp), tp, 0));
-  while (engine->events_processed() < 20) {
-    auto got = co_await ingest.DrainInto(engine);
-    KD_CHECK(got.ok()) << got.status().ToString();
-    if (got.value() == 0) co_await sim::Delay(cluster->sim(), Millis(1));
-  }
-  KD_CHECK(ingest.next_offset() == 20);
-
-  // The leader dies mid-stream: re-grant the ring at the new leader and
-  // resume at exactly the next undelivered offset.
-  int32_t old_leader = cluster->Leader(tp)->id();
-  cluster->cluster().KillBroker(old_leader);
-  co_await sim::Delay(cluster->sim(), Millis(150));  // failover settles
-  kd::KafkaDirectBroker* new_leader = cluster->Leader(tp);
-  KD_CHECK(new_leader != nullptr && new_leader->id() != old_leader);
-  KD_CHECK_OK(co_await ingest.Failover(new_leader));
-
-  bool produced = false;
-  sim::Spawn(cluster->sim(), ProduceEvents(cluster, tp, 20, 10, &produced));
-  while (engine->events_processed() < 30) {
-    auto got = co_await ingest.DrainInto(engine);
-    KD_CHECK(got.ok()) << got.status().ToString();
-    if (got.value() == 0) co_await sim::Delay(cluster->sim(), Millis(1));
-  }
-  KD_CHECK(ingest.next_offset() == 30);
-  ingest.Close();
-  *done = true;
-}
-
-// §15 satellite: the PR-7 ring consume protocol, exposed to src/stream/.
-// Events ride the broker-pushed ring into the EventEngine, and the
-// ingester survives a leader kill exactly-once via ring re-grant.
-TEST(RingIngestTest, IngestsOverRingAndSurvivesLeaderKill) {
-  harness::DeploymentConfig deploy;
-  deploy.num_brokers = 3;
-  deploy.broker.control_plane = true;
-  deploy.broker.rdma_consume = true;
-  harness::TestCluster cluster(deploy);
-  KD_CHECK_OK(cluster.CreateTopic("events", 1, 3));
-  kafka::TopicPartitionId tp{"events", 0};
-  cluster.sim().RunFor(Millis(30));  // controller election settles
-
-  bool produced = false;
-  sim::Spawn(cluster.sim(), ProduceEvents(&cluster, tp, 0, 20, &produced));
-  cluster.RunToFlag(&produced, Seconds(30));
-
-  EventEngine engine;
-  bool done = false;
-  sim::Spawn(cluster.sim(), IngestBody(&cluster, tp, &engine, &done));
-  cluster.RunToFlag(&done, Seconds(60));
-
-  EXPECT_EQ(engine.events_processed(), 30);
-  // Per-lane aggregation saw every event exactly once: lanes alternate,
-  // car_count == sequence, so the totals pin both count and content.
-  EXPECT_EQ(engine.lane(0).events, 15);
-  EXPECT_EQ(engine.lane(1).events, 15);
-  EXPECT_EQ(engine.lane(0).total_cars + engine.lane(1).total_cars,
-            29 * 30 / 2);
 }
 
 }  // namespace

@@ -11,9 +11,10 @@
 # connect/disconnect cycles, LRU eviction with transparent reconnect, and
 # eviction racing in-flight acks are the paths most likely to leak a
 # coroutine frame or touch a freed transport. The §15 failover suite rides
-# along: broker kills mid-traffic, controller re-election, group-rebalance
-# storms — teardown-heavy scenarios where a parked coroutine frame
-# (purgatory waiter, ack reader) would leak if shutdown missed a wakeup.
+# along: broker kills mid-traffic, controller re-election, consumer
+# re-grant at the new leader — teardown-heavy scenarios where a parked
+# coroutine frame (purgatory waiter, ack reader) would leak if shutdown
+# missed a wakeup.
 # The integration suite rides along: it runs every datapath protocol
 # upgrade (receiver-paced credits, ring consume)
 # through full deployment teardown, so a background loop that outlives
